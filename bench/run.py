@@ -47,8 +47,7 @@ sys.path.insert(0, str(BENCH))
 import checks  # noqa: E402
 import workloads  # noqa: E402
 
-RUN_SECONDS = 40
-SETUP_REPEATS = 5
+RUN_SECONDS = 60
 COLD_STARTS = 10
 TAIL_LADDER = (99.9, 99, 95, 90, 75, 50)
 
@@ -183,19 +182,18 @@ def pinned_digest(workload: str, seed: int) -> str | None:
 # -- measurement -------------------------------------------------------------
 
 
-def setup(workload: str, seed: int, scale, tally: Tally):
-    """Import braidlink, build the corpus and warm up, SETUP_REPEATS times;
-    returns the cli module, the corpus and each set-up's seconds."""
-    times = []
+def set_up(workload: str, seed: int, scale, tally: Tally):
+    """Import braidlink afresh, build the corpus and warm up with the
+    representative request; returns the cli module, the corpus and the
+    seconds it took."""
     representative = workloads.WORKLOADS[workload].representative
-    for _ in range(SETUP_REPEATS):
-        start = time.perf_counter()
-        cli = import_cli()
-        corpus = workloads.corpus(workload, seed, scale)
-        _, code, out = perform(cli, representative)
-        times.append(time.perf_counter() - start)
-        tally.verify(representative, code, out)
-    return cli, corpus, times
+    start = time.perf_counter()
+    cli = import_cli()
+    corpus = workloads.corpus(workload, seed, scale)
+    _, code, out = perform(cli, representative)
+    seconds = time.perf_counter() - start
+    tally.verify(representative, code, out)
+    return cli, corpus, seconds
 
 
 def tail(samples: list[float]) -> tuple[float, float]:
@@ -209,9 +207,10 @@ def tail(samples: list[float]) -> tuple[float, float]:
     return 50.0, statistics.median(ordered)
 
 
-def measure(cli, workload, corpus, seconds, tally, pinned) -> dict:
-    """Whole passes over the corpus for about ``seconds``, with cold starts
-    of the representative request between them."""
+def measure(cli, workload, seed, scale, corpus, seconds, tally, pinned, setups) -> dict:
+    """Whole passes over the corpus for about ``seconds``.  Between passes
+    the representative request is sent through a fresh interpreter, and the
+    set-up is timed again (appended to ``setups``)."""
     representative = workloads.WORKLOADS[workload].representative
     best = [math.inf] * len(corpus)
     pass_seconds, colds, digests = [], [], set()
@@ -224,11 +223,16 @@ def measure(cli, workload, corpus, seconds, tally, pinned) -> dict:
             best[i] = min(best[i], seconds_taken)
             outputs.append((code, out))
         pass_seconds.append(time.perf_counter() - began)
+        if len(pass_seconds) == 1:
+            # Taken before the set-ups below re-import braidlink.
+            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         value, contents = tally.verify_pass(corpus, outputs, pinned)
         digests.add(value)
         seconds_taken, code, out = cold_start(representative)
         colds.append(seconds_taken)
         tally.verify(representative, code, out)
+        cli, _, seconds_taken = set_up(workload, seed, scale, tally)
+        setups.append(seconds_taken)
         if time.perf_counter() - start + pass_seconds[-1] > seconds:
             break
     while len(colds) < COLD_STARTS:
@@ -249,6 +253,7 @@ def measure(cli, workload, corpus, seconds, tally, pinned) -> dict:
             "op_p50_ms": 1000 * statistics.median(best),
             "op_tail_ms": 1000 * tail_seconds,
             "cold_start_ms": 1000 * min(colds),
+            "peak_rss_mb": peak_rss_mb,
         },
     }
 
@@ -352,7 +357,8 @@ def properties(corpus, contents) -> dict:
 def run(workload: str, seed: int, seconds: float, trace: bool, scale=None) -> tuple[dict, dict]:
     """One benchmark run: (result line, full report)."""
     tally = Tally()
-    cli, corpus, setup_times = setup(workload, seed, scale, tally)
+    cli, corpus, first_setup = set_up(workload, seed, scale, tally)
+    setup_times = [first_setup]
     report = {
         "workload": workload,
         "environment": {
@@ -383,10 +389,9 @@ def run(workload: str, seed: int, seconds: float, trace: bool, scale=None) -> tu
                 handle.write(json.dumps(span) + "\n")
     else:
         pinned = pinned_digest(workload, seed) if scale is None else None
-        measured = measure(cli, workload, corpus, seconds, tally, pinned)
+        measured = measure(cli, workload, seed, scale, corpus, seconds, tally, pinned, setup_times)
         metrics = measured.pop("metrics")
         metrics["setup_s"] = statistics.median(setup_times)
-        metrics["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         report["properties"] = properties(corpus, measured.pop("contents"))
         report["measured"] = {k: v for k, v in measured.items() if k != "best"}
         report["environment"]["tracing_overhead"] = "measured by --trace 1"

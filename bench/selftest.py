@@ -23,7 +23,7 @@ import workloads  # noqa: E402
 
 sys.path.insert(0, str(run.SRC))
 
-TINY = {"paper": 1, "narrow-long": 2, "wide-sparse": 1}
+TINY = {"paper": 1, "narrow-long": 2}
 
 
 class SelfTest(unittest.TestCase):

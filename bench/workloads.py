@@ -87,21 +87,11 @@ def unknot_word(rng: random.Random, strands: int) -> Word:
     return Word(strands, _signed(rng, range(1, strands)))
 
 
-def split_word(rng: random.Random, strands: int, gap: int) -> Word:
-    """Every generator but sigma_gap once, shuffled: a split closure.  The
-    Burau route eliminates up to the gap before it finds the zero pivot."""
-    generators = [c for c in range(1, strands) if c != gap]
-    rng.shuffle(generators)
-    return Word(strands, _signed(rng, generators))
-
-
-def covering_word(rng: random.Random, strands: int) -> Word:
-    """Every generator at least once, plus up to n/4 extra letters, shuffled:
-    a short word that is never split."""
-    generators = list(range(1, strands))
-    generators += [rng.randint(1, strands - 1) for _ in range(rng.randint(0, strands // 4))]
-    rng.shuffle(generators)
-    return Word(strands, _signed(rng, generators))
+def split_word(rng: random.Random, strands: int, length: int) -> Word:
+    """A random word that leaves one column empty: a split closure."""
+    gap = rng.randint(1, strands - 1)
+    used = [c for c in range(1, strands) if c != gap]
+    return Word(strands, _signed(rng, (rng.choice(used) for _ in range(length))))
 
 
 # -- corpora ---------------------------------------------------------------
@@ -134,33 +124,18 @@ def paper_corpus(rng: random.Random, scale: int) -> list[Request]:
 
 
 def narrow_long_corpus(rng: random.Random, scale: int) -> list[Request]:
-    """n in 4..6 and L in 80..135 in steps of 60 / scale, plus B2 sigma_1^k
-    torus links of the same lengths (determinant k)."""
+    """n in 4..6 and L in 80..135 in steps of 60 / scale; per n also two
+    split words of the same lengths (determinant 0) and one unknot; and
+    B2 sigma_1^k torus links of the same lengths (determinant k)."""
     lengths = [80 + (60 * i) // scale for i in range(scale)]
     corpus = [invariants(random_word(rng, n, length)) for n in (4, 5, 6) for length in lengths]
+    for n in (4, 5, 6):
+        for _ in range(2):
+            corpus.append(invariants(split_word(rng, n, rng.randrange(80, 140)), determinant=0))
+        corpus.append(invariants(unknot_word(rng, n), determinant=1, components=1))
     for low in (80, 100, 120):
         k = rng.randrange(low, low + 20)
         corpus.append(invariants(Word(2, (1,) * k), determinant=k, components=1 + (k + 1) % 2))
-    rng.shuffle(corpus)
-    return corpus
-
-
-def _spread(count: int, low: int = 16, high: int = 32) -> list[int]:
-    """count strand numbers evenly spaced over [low, high]."""
-    return [low + ((high - low) * i) // max(count - 1, 1) for i in range(count)]
-
-
-def wide_sparse_corpus(rng: random.Random, scale: int) -> list[Request]:
-    """n spread over 16..32 with few letters: per ``scale``, six split words
-    with their gaps spread along the word, three unknots and one covering
-    word (60% split)."""
-    count = 6 * scale
-    corpus = [
-        invariants(split_word(rng, n, 1 + ((5 * i) % count) * (n - 2) // count), determinant=0)
-        for i, n in enumerate(_spread(count))
-    ]
-    corpus += [invariants(unknot_word(rng, n), determinant=1, components=1) for n in _spread(3 * scale)]
-    corpus += [invariants(covering_word(rng, n)) for n in _spread(scale)]
     rng.shuffle(corpus)
     return corpus
 
@@ -187,15 +162,10 @@ WORKLOADS = {
         ),
         Workload(
             "narrow-long",
-            "n 4-6 and L 80-135: Seifert order near L, so integer Bareiss is about "
-            "half of each request; long-span Burau polynomials",
-            narrow_long_corpus, 13, invariants(random_word(_REP, 4, 80)),
-        ),
-        Workload(
-            "wide-sparse",
-            "n 16-32 with few letters, 60% split: tiny polynomials in big Laurent "
-            "Bareiss matrices, and the only workload with split words",
-            wide_sparse_corpus, 4, invariants(split_word(_REP, 16, 3), determinant=0),
+            "n 4-6 and L 80-135, with split words and torus links: Seifert order "
+            "near L, so integer Bareiss is about half of a request; long-span Burau "
+            "polynomials",
+            narrow_long_corpus, 12, invariants(random_word(_REP, 4, 80)),
         ),
     )
 }
