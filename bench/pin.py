@@ -32,7 +32,7 @@ def main(first: int, last: int) -> int:
             corpus = workloads.corpus(name, seed)
             tally = run.Tally()
             outputs = [run.perform(cli, r)[1:] for r in corpus]
-            digest, _ = tally.verify_pass(corpus, outputs, None)
+            digest, _ = tally.verify_pass(corpus, outputs)
             if tally.failed:
                 print("\n".join(tally.problems), file=sys.stderr)
                 return 1

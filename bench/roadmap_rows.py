@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Re-time the rows of the ROADMAP baseline table on this interpreter.
 
-    python3 bench/roadmap_rows.py          # about a minute
-    python3 bench/roadmap_rows.py --quick  # skips the rows that take seconds
+    python3 bench/roadmap_rows.py     # about a minute
 
 Each row is timed as the best of three runs in one process (one run for
 rows over a second), as the table was.  The random words come from a fixed
@@ -67,7 +66,7 @@ def sweep():
     sweep_full_turn(lines, events)
 
 
-def main(quick: bool) -> None:
+def main() -> None:
     axis = reference_braids().axis
     rows = [
         ("reference axis braid, Seifert route", 0.0086, seifert(axis)),
@@ -79,14 +78,11 @@ def main(quick: bool) -> None:
         ("random word n=16 L=200, Burau route", 1.06, burau(random_word(16, 200))),
         ("configuration + projection + full-turn sweep", 0.0041, sweep),
         ('CLI invariants "B400 1"', 1.1, cli("B400 1")),
+        ("random word n=24 L=400, Seifert route", 2.9, seifert(random_word(24, 400))),
+        ("random word n=24 L=400, Burau route", 12.6, burau(random_word(24, 400))),
+        ("CLI invariants unknot, 80 strands", 5.2, cli(" ".join(map(str, range(1, 80))))),
+        ("CLI invariants unknot, 120 strands", 21.0, cli(" ".join(map(str, range(1, 120))))),
     ]
-    if not quick:
-        rows += [
-            ("random word n=24 L=400, Seifert route", 2.9, seifert(random_word(24, 400))),
-            ("random word n=24 L=400, Burau route", 12.6, burau(random_word(24, 400))),
-            ("CLI invariants unknot, 80 strands", 5.2, cli(" ".join(map(str, range(1, 80))))),
-            ("CLI invariants unknot, 120 strands", 21.0, cli(" ".join(map(str, range(1, 120))))),
-        ]
     print(f"python {sys.version.split()[0]}")
     print(f"{'row':48s} {'table s':>9s} {'now s':>9s} {'now/table':>9s}")
     for name, table, function in rows:
@@ -95,4 +91,4 @@ def main(quick: bool) -> None:
 
 
 if __name__ == "__main__":
-    main("--quick" in sys.argv[1:])
+    main()

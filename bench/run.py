@@ -2,17 +2,17 @@
 """The braidlink benchmark.
 
     python3 bench/run.py --workload NAME --seed N --seconds S --trace 0|1
-    python3 bench/run.py --write-spec     # rewrite BENCHMARK.json
 
 Run from the repository root.  One client sends CLI requests in a closed
 loop: each request is ``braidlink.cli.main(argv)`` called in this process
 with its output captured, and the next is sent when it returns.  The
 workload's corpus comes from the seed (see workloads.py) and every output is
-checked (see checks.py).
+checked (see checks.py).  The metric names and units, and the default of
+S, are read from BENCHMARK.json.
 
 With ``--trace 0`` the corpus is run in whole passes for about S seconds;
-each request's latency is the best of its passes, which filters the host's
-slow spells of a few seconds.  Fresh-interpreter runs of the workload's
+every request of every pass is a latency sample, and the throughput is the
+median over the passes.  Fresh-interpreter runs of the workload's
 representative request are interleaved between the passes.  With
 ``--trace 1`` each request is sent once plain and once traced, followed by
 the replay of its stages (see tracing.py), for about S seconds.
@@ -47,58 +47,10 @@ sys.path.insert(0, str(BENCH))
 import checks  # noqa: E402
 import workloads  # noqa: E402
 
-RUN_SECONDS = 60
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+RUN_SECONDS = SPEC["run_seconds"]
+UNITS = {m["name"]: m["unit"] for m in SPEC["end_to_end"] + SPEC["per_layer"]}
 COLD_STARTS = 10
-TAIL_LADDER = (99.9, 99, 95, 90, 75, 50)
-
-# name, unit, better, bound
-END_TO_END = (
-    ("ops_per_s", "1/s", "higher", 0.25),
-    ("op_p50_ms", "ms", "lower", 0.25),
-    ("op_tail_ms", "ms", "lower", 0.25),
-    ("cold_start_ms", "ms", "lower", 0.25),
-    ("setup_s", "s", "lower", 0.25),
-    ("peak_rss_mb", "MB", "lower", 0.1),
-)
-# name, unit, better
-PER_LAYER = (
-    ("cli.request_ms", "ms", "lower"),
-    ("cli.self_ms", "ms", "lower"),
-    ("braids.parse_ms", "ms", "lower"),
-    ("braids.closure_ms", "ms", "lower"),
-    ("braids.letters", "count", "lower"),
-    ("seifert.build_ms", "ms", "lower"),
-    ("seifert.order", "rows", "lower"),
-    ("matrices.det_int_ms", "ms", "lower"),
-    ("matrices.det_int_bits", "bits", "lower"),
-    ("burau.product_ms", "ms", "lower"),
-    ("burau.size", "rows", "lower"),
-    ("matrices.det_laurent_ms", "ms", "lower"),
-    ("laurent.exact_div_ms", "ms", "lower"),
-    ("laurent.span", "degree", "lower"),
-    ("laurent.coeff_bits", "bits", "lower"),
-    ("burau.alexander_ms", "ms", "lower"),
-    ("invariants.report_ms", "ms", "lower"),
-    ("invariants.useful_share", "ratio", "higher"),
-    ("geometry.project_ms", "ms", "lower"),
-    ("sweep.turn_ms", "ms", "lower"),
-    ("svg.emit_ms", "ms", "lower"),
-)
-UNITS = {name: unit for name, unit, *_ in END_TO_END + PER_LAYER}
-
-
-def spec() -> dict:
-    """The content of BENCHMARK.json."""
-    return {
-        "command": ["python3", "bench/run.py"],
-        "paths": ["bench"],
-        "run_seconds": RUN_SECONDS,
-        "workloads": [{"name": w.name, "why": w.why} for w in workloads.WORKLOADS.values()],
-        "end_to_end": [
-            {"name": n, "unit": u, "better": b, "bound": bound} for n, u, b, bound in END_TO_END
-        ],
-        "per_layer": [{"name": n, "unit": u, "better": b} for n, u, b in PER_LAYER],
-    }
 
 
 # -- requests ----------------------------------------------------------------
@@ -140,12 +92,17 @@ def cold_start(request) -> tuple[float, object, str]:
 
 
 class Tally:
-    """Attempted and failed requests, with the first few problems."""
+    """Attempted and failed requests, with the first few problems.
 
-    def __init__(self):
+    ``expected`` is the digest every pass must have: the pinned one, or else
+    that of the first pass checked.
+    """
+
+    def __init__(self, expected: str | None = None):
         self.attempted = 0
         self.failed = 0
         self.problems: list[str] = []
+        self.expected = expected
 
     def fail(self, request, problems) -> None:
         self.failed += 1
@@ -161,16 +118,18 @@ class Tally:
             return None
         return content
 
-    def verify_pass(self, corpus, outputs, pinned) -> tuple[str, list]:
-        """Check a whole pass, then its digest against the pinned one; on a
+    def verify_pass(self, corpus, outputs) -> tuple[str, list]:
+        """Check a whole pass, then its digest against the expected one; on a
         mismatch every request of the pass that passed its own checks fails.
         Returns the digest and the contents."""
         contents = [self.verify(r, code, out) for r, (code, out) in zip(corpus, outputs)]
         value = checks.digest(contents)
-        if pinned is not None and value != pinned:
+        if self.expected is None:
+            self.expected = value
+        elif value != self.expected:
             for request, content in zip(corpus, contents):
                 if content is not None:
-                    self.fail(request, [f"digest {value[:12]} differs from pinned {pinned[:12]}"])
+                    self.fail(request, [f"digest {value[:12]} differs from {self.expected[:12]}"])
         return value, contents
 
 
@@ -196,37 +155,33 @@ def set_up(workload: str, seed: int, scale, tally: Tally):
     return cli, corpus, seconds
 
 
-def tail(samples: list[float]) -> tuple[float, float]:
-    """(percentile, value): the highest ladder percentile with at least ten
-    samples above its nearest-rank value."""
+def percentile(samples: list[float], p: float) -> tuple[float, int]:
+    """The nearest-rank p-th percentile and the number of samples above it."""
     ordered = sorted(samples)
-    for p in TAIL_LADDER:
-        rank = math.ceil(p / 100 * len(ordered))
-        if len(ordered) - rank >= 10:
-            return p, ordered[rank - 1]
-    return 50.0, statistics.median(ordered)
+    rank = max(1, math.ceil(p / 100 * len(ordered)))
+    return ordered[rank - 1], len(ordered) - rank
 
 
-def measure(cli, workload, seed, scale, corpus, seconds, tally, pinned, setups) -> dict:
+def measure(cli, workload, seed, scale, corpus, seconds, tally, setups) -> dict:
     """Whole passes over the corpus for about ``seconds``.  Between passes
     the representative request is sent through a fresh interpreter, and the
     set-up is timed again (appended to ``setups``)."""
-    representative = workloads.WORKLOADS[workload].representative
-    best = [math.inf] * len(corpus)
-    pass_seconds, colds, digests = [], [], set()
+    w = workloads.WORKLOADS[workload]
+    representative = w.representative
+    samples, pass_seconds, colds, digests = [], [], [], set()
     start = time.perf_counter()
     while True:
         began = time.perf_counter()
         outputs = []
-        for i, request in enumerate(corpus):
+        for request in corpus:
             seconds_taken, code, out = perform(cli, request)
-            best[i] = min(best[i], seconds_taken)
+            samples.append(seconds_taken)
             outputs.append((code, out))
         pass_seconds.append(time.perf_counter() - began)
         if len(pass_seconds) == 1:
             # Taken before the set-ups below re-import braidlink.
             peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        value, contents = tally.verify_pass(corpus, outputs, pinned)
+        value, contents = tally.verify_pass(corpus, outputs)
         digests.add(value)
         seconds_taken, code, out = cold_start(representative)
         colds.append(seconds_taken)
@@ -239,20 +194,21 @@ def measure(cli, workload, seed, scale, corpus, seconds, tally, pinned, setups) 
         seconds_taken, code, out = cold_start(representative)
         colds.append(seconds_taken)
         tally.verify(representative, code, out)
-    percentile, tail_seconds = tail(best)
+    tail_seconds, beyond = percentile(samples, w.tail)
     return {
-        "best": best,
         "passes": len(pass_seconds),
         "pass_seconds": pass_seconds,
         "cold_seconds": colds,
         "digests": sorted(digests),
         "contents": contents,
-        "tail_percentile": percentile,
+        "samples": len(samples),
+        "tail_percentile": w.tail,
+        "samples_beyond_tail": beyond,
         "metrics": {
-            "ops_per_s": len(corpus) / sum(best),
-            "op_p50_ms": 1000 * statistics.median(best),
+            "ops_per_s": statistics.median([len(corpus) / s for s in pass_seconds]),
+            "op_p50_ms": 1000 * statistics.median(samples),
             "op_tail_ms": 1000 * tail_seconds,
-            "cold_start_ms": 1000 * min(colds),
+            "cold_start_ms": 1000 * statistics.median(colds),
             "peak_rss_mb": peak_rss_mb,
         },
     }
@@ -356,7 +312,8 @@ def properties(corpus, contents) -> dict:
 
 def run(workload: str, seed: int, seconds: float, trace: bool, scale=None) -> tuple[dict, dict]:
     """One benchmark run: (result line, full report)."""
-    tally = Tally()
+    pinned = pinned_digest(workload, seed) if scale is None else None
+    tally = Tally(pinned)
     cli, corpus, first_setup = set_up(workload, seed, scale, tally)
     setup_times = [first_setup]
     report = {
@@ -388,12 +345,11 @@ def run(workload: str, seed: int, seconds: float, trace: bool, scale=None) -> tu
             for span in spans:
                 handle.write(json.dumps(span) + "\n")
     else:
-        pinned = pinned_digest(workload, seed) if scale is None else None
-        measured = measure(cli, workload, seed, scale, corpus, seconds, tally, pinned, setup_times)
+        measured = measure(cli, workload, seed, scale, corpus, seconds, tally, setup_times)
         metrics = measured.pop("metrics")
         metrics["setup_s"] = statistics.median(setup_times)
         report["properties"] = properties(corpus, measured.pop("contents"))
-        report["measured"] = {k: v for k, v in measured.items() if k != "best"}
+        report["measured"] = measured
         report["environment"]["tracing_overhead"] = "measured by --trace 1"
     report["failed_ratio"] = tally.failed / tally.attempted
     report["problems"] = tally.problems
@@ -414,8 +370,8 @@ def print_report(result: dict, report: dict) -> None:
         print(f"  {name:26s} {metric['value']:12.4f} {metric['unit']}")
     if "measured" in report:
         m = report["measured"]
-        print(f"  op_tail_ms is p{m['tail_percentile']:g} of {env['corpus_size']} request "
-              f"latencies, each the best of {m['passes']} passes")
+        print(f"  op_tail_ms is p{m['tail_percentile']:g} of {m['samples']} request latencies "
+              f"({m['samples_beyond_tail']} above it) over {m['passes']} passes")
     if "traced" in report:
         t = report["traced"]
         print(f"  tracing overhead {env['tracing_overhead']:+.3f}: traced "
@@ -431,17 +387,11 @@ def print_report(result: dict, report: dict) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=RUN_SECONDS)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--write-spec", action="store_true", help="rewrite BENCHMARK.json")
     args = parser.parse_args(argv)
-    if args.write_spec:
-        (ROOT / "BENCHMARK.json").write_text(json.dumps(spec(), indent=2) + "\n")
-        return 0
-    if args.workload is None:
-        parser.error("--workload is required")
     if not (SRC / "braidlink" / "cli.py").is_file():
         print(f"error: no braidlink sources under {SRC}", file=sys.stderr)
         return 2

@@ -3,15 +3,16 @@
 
     python3 bench/selftest.py
 
-It runs every workload on a small corpus for a fraction of a second, traced
-and untraced, and checks that each run reports every metric of
-BENCHMARK.json with its unit and no failure; that BENCHMARK.json is what
-run.py would write; and that corrupted outputs are counted as failed.
+It runs every workload of BENCHMARK.json on a small corpus for a fraction
+of a second, traced and untraced, and checks that each run reports every
+metric of BENCHMARK.json with its unit and no failure, and that corrupted
+outputs, and passes whose outputs differ, are counted as failed.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 import unittest
 from pathlib import Path
@@ -27,15 +28,10 @@ TINY = {"paper": 1, "narrow-long": 2}
 
 
 class SelfTest(unittest.TestCase):
-    def test_spec_file_is_current(self):
-        written = json.loads((run.ROOT / "BENCHMARK.json").read_text())
-        self.assertEqual(written, run.spec())
-
     def test_every_metric_with_its_unit(self):
-        spec = run.spec()
         for trace, group in ((False, "end_to_end"), (True, "per_layer")):
-            expected = {m["name"]: m["unit"] for m in spec[group]}
-            for name in workloads.WORKLOADS:
+            expected = {m["name"]: m["unit"] for m in run.SPEC[group]}
+            for name in (w["name"] for w in run.SPEC["workloads"]):
                 with self.subTest(workload=name, trace=trace):
                     result, report = run.run(name, 0, 0.1, trace, scale=TINY[name])
                     self.assertEqual(set(result), {"correct", "attempted", "failed", "metrics"})
@@ -52,7 +48,7 @@ class SelfTest(unittest.TestCase):
         tally = run.Tally()
         corpus = workloads.corpus("paper", 0, 1)
         outputs = [run.perform(cli, r)[1:] for r in corpus]
-        digest, _ = tally.verify_pass(corpus, outputs, None)
+        tally.verify_pass(corpus, outputs)
         self.assertEqual(tally.failed, 0)
 
         # A wrong determinant in one report.
@@ -63,7 +59,7 @@ class SelfTest(unittest.TestCase):
         corrupted = list(outputs)
         corrupted[i] = (code, json.dumps(report))
         tally = run.Tally()
-        tally.verify_pass(corpus, corrupted, None)
+        tally.verify_pass(corpus, corrupted)
         self.assertEqual(tally.failed, 1)
 
         # An unexpected exit code, and unreadable output.
@@ -73,9 +69,22 @@ class SelfTest(unittest.TestCase):
         self.assertEqual(tally.failed, 2)
 
         # A pass whose outputs all check but whose digest is not the pinned one.
-        tally = run.Tally()
-        tally.verify_pass(corpus, outputs, "0" * 64)
+        tally = run.Tally("0" * 64)
+        tally.verify_pass(corpus, outputs)
         self.assertEqual(tally.failed, len(corpus))
+
+        # Without a pinned digest, a second pass whose outputs all check but
+        # differ from the first pass's: one more element in an SVG drawing.
+        i = next(i for i, r in enumerate(corpus) if r.kind == "construct-svg")
+        code, out = outputs[i]
+        changed = list(outputs)
+        changed[i] = (code, re.sub(r"</svg>\s*$", "<g/></svg>", out))
+        self.assertNotEqual(changed[i], outputs[i])
+        tally = run.Tally()
+        tally.verify_pass(corpus, outputs)
+        tally.verify_pass(corpus, changed)
+        self.assertEqual(tally.failed, len(corpus))
+        self.assertEqual(tally.attempted, 2 * len(corpus))
 
     def test_oracles(self):
         import checks
