@@ -10,9 +10,10 @@ workload's corpus comes from the seed (see workloads.py) and every output is
 checked (see checks.py).  The metric names and units, and the default of
 S, are read from BENCHMARK.json.
 
-With ``--trace 0`` the corpus is run in whole passes for about S seconds;
-every request of every pass is a latency sample, and the throughput is the
-median over the passes.  Fresh-interpreter runs of the workload's
+With ``--trace 0`` the corpus is run in whole passes for about S seconds.
+Throughput and median latency come from each request's slowest latency in a
+fixed number of passes spread evenly over the run; the tail percentile from
+every request of every pass.  Fresh-interpreter runs of the workload's
 representative request are interleaved between the passes.  With
 ``--trace 1`` each request is sent once plain and once traced, followed by
 the replay of its stages (see tracing.py), for about S seconds.
@@ -50,7 +51,7 @@ import workloads  # noqa: E402
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 RUN_SECONDS = SPEC["run_seconds"]
 UNITS = {m["name"]: m["unit"] for m in SPEC["end_to_end"] + SPEC["per_layer"]}
-COLD_STARTS = 10
+COLD_STARTS = 20
 
 
 # -- requests ----------------------------------------------------------------
@@ -162,42 +163,64 @@ def percentile(samples: list[float], p: float) -> tuple[float, int]:
     return ordered[rank - 1], len(ordered) - rank
 
 
+def spread_evenly(count: int, k: int) -> list[int]:
+    """k of the indices 0 .. count - 1, spread evenly from the first to the
+    last (all of them when count <= k)."""
+    if count <= k:
+        return list(range(count))
+    return [round(i * (count - 1) / (k - 1)) for i in range(k)]
+
+
 def measure(cli, workload, seed, scale, corpus, seconds, tally, setups) -> dict:
-    """Whole passes over the corpus for about ``seconds``.  Between passes
-    the representative request is sent through a fresh interpreter, and the
-    set-up is timed again (appended to ``setups``)."""
+    """Whole passes over the corpus for about ``seconds``, and at least the
+    workload's count of them.  Between passes, at COLD_STARTS times spread
+    evenly over ``seconds``, the representative request is sent through a
+    fresh interpreter and the set-up is timed again (appended to
+    ``setups``)."""
     w = workloads.WORKLOADS[workload]
+    passes, cold_starts = w.passes, COLD_STARTS
     representative = w.representative
-    samples, pass_seconds, colds, digests = [], [], [], set()
-    start = time.perf_counter()
-    while True:
-        began = time.perf_counter()
-        outputs = []
-        for request in corpus:
-            seconds_taken, code, out = perform(cli, request)
-            samples.append(seconds_taken)
-            outputs.append((code, out))
-        pass_seconds.append(time.perf_counter() - began)
-        if len(pass_seconds) == 1:
-            # Taken before the set-ups below re-import braidlink.
-            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        value, contents = tally.verify_pass(corpus, outputs)
-        digests.add(value)
+    latencies, pass_seconds, colds, digests = [], [], [], set()
+
+    def cold_and_set_up():
+        nonlocal cli
         seconds_taken, code, out = cold_start(representative)
         colds.append(seconds_taken)
         tally.verify(representative, code, out)
         cli, _, seconds_taken = set_up(workload, seed, scale, tally)
         setups.append(seconds_taken)
-        if time.perf_counter() - start + pass_seconds[-1] > seconds:
+
+    start = time.perf_counter()
+    while True:
+        began = time.perf_counter()
+        outputs, pass_latencies = [], []
+        for request in corpus:
+            seconds_taken, code, out = perform(cli, request)
+            pass_latencies.append(seconds_taken)
+            outputs.append((code, out))
+        pass_seconds.append(time.perf_counter() - began)
+        latencies.append(pass_latencies)
+        if len(pass_seconds) == 1:
+            # Taken before the set-ups below re-import braidlink.
+            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        value, contents = tally.verify_pass(corpus, outputs)
+        digests.add(value)
+        elapsed = time.perf_counter() - start
+        while len(colds) < min(cold_starts, 1 + int(cold_starts * elapsed / seconds)):
+            cold_and_set_up()
+        if len(pass_seconds) >= passes and time.perf_counter() - start + pass_seconds[-1] > seconds:
             break
-    while len(colds) < COLD_STARTS:
-        seconds_taken, code, out = cold_start(representative)
-        colds.append(seconds_taken)
-        tally.verify(representative, code, out)
+    while len(colds) < cold_starts:
+        cold_and_set_up()
+    chosen = spread_evenly(len(latencies), passes)
+    slowest = [max(latencies[p][i] for p in chosen) for i in range(len(corpus))]
+    samples = [s for pass_latencies in latencies for s in pass_latencies]
     tail_seconds, beyond = percentile(samples, w.tail)
     return {
         "passes": len(pass_seconds),
+        "passes_for_slowest": chosen,
         "pass_seconds": pass_seconds,
+        "latencies": latencies,
         "cold_seconds": colds,
         "digests": sorted(digests),
         "contents": contents,
@@ -205,10 +228,10 @@ def measure(cli, workload, seed, scale, corpus, seconds, tally, setups) -> dict:
         "tail_percentile": w.tail,
         "samples_beyond_tail": beyond,
         "metrics": {
-            "ops_per_s": statistics.median([len(corpus) / s for s in pass_seconds]),
-            "op_p50_ms": 1000 * statistics.median(samples),
+            "ops_per_s": len(corpus) / sum(slowest),
+            "op_p50_ms": 1000 * statistics.median(slowest),
             "op_tail_ms": 1000 * tail_seconds,
-            "cold_start_ms": 1000 * statistics.median(colds),
+            "cold_start_ms": 1000 * statistics.quantiles(colds, n=4)[2],
             "peak_rss_mb": peak_rss_mb,
         },
     }
@@ -370,6 +393,9 @@ def print_report(result: dict, report: dict) -> None:
         print(f"  {name:26s} {metric['value']:12.4f} {metric['unit']}")
     if "measured" in report:
         m = report["measured"]
+        print(f"  ops_per_s and op_p50_ms from each request's slowest of "
+              f"{len(m['passes_for_slowest'])} of {m['passes']} passes; cold_start_ms the upper "
+              f"quartile of {len(m['cold_seconds'])}")
         print(f"  op_tail_ms is p{m['tail_percentile']:g} of {m['samples']} request latencies "
               f"({m['samples_beyond_tail']} above it) over {m['passes']} passes")
     if "traced" in report:

@@ -11,11 +11,13 @@ outputs, and passes whose outputs differ, are counted as failed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import sys
 import unittest
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -24,10 +26,16 @@ import workloads  # noqa: E402
 
 sys.path.insert(0, str(run.SRC))
 
-TINY = {"paper": 1, "narrow-long": 2}
+TINY = {"paper": 1, "narrow-long": 2}  # corpus scale of the tiny runs
+# Two passes and two fresh interpreters are enough to run every step.
+TINY_WORKLOADS = {
+    name: dataclasses.replace(w, passes=2) for name, w in workloads.WORKLOADS.items()
+}
 
 
 class SelfTest(unittest.TestCase):
+    @mock.patch.object(run, "COLD_STARTS", 2)
+    @mock.patch.object(workloads, "WORKLOADS", TINY_WORKLOADS)
     def test_every_metric_with_its_unit(self):
         for trace, group in ((False, "end_to_end"), (True, "per_layer")):
             expected = {m["name"]: m["unit"] for m in run.SPEC[group]}
@@ -42,6 +50,15 @@ class SelfTest(unittest.TestCase):
                     )
                     for metric in result["metrics"].values():
                         self.assertIsInstance(metric["value"], float)
+
+    def test_passes_for_slowest_are_fixed_in_number(self):
+        self.assertEqual(run.spread_evenly(3, 8), [0, 1, 2])
+        self.assertEqual(run.spread_evenly(8, 8), list(range(8)))
+        self.assertEqual(run.spread_evenly(30, 4), [0, 10, 19, 29])
+        for count in range(20, 60):
+            chosen = run.spread_evenly(count, 20)
+            self.assertEqual(len(set(chosen)), 20)
+            self.assertEqual((chosen[0], chosen[-1]), (0, count - 1))
 
     def test_corrupted_output_fails(self):
         cli = run.import_cli()
