@@ -1,32 +1,11 @@
 """Exact link invariants of closed braids, and the exact line-arrangement
 sweep that reconstructs the bundled reference braids."""
 
-from .braids import (
-    BraidParseError,
-    BraidWord,
-    Permutation,
-    StrandComponentMap,
-    braid_text,
-    closure_permutation,
-    components,
-    components_of_antipodal_closure,
-    concat,
-    conjugate,
-    crossing_strands,
-    exponent_sum,
-    free_reduce,
-    invert,
-    linking_matrix,
-    parse_braid,
-    stabilize,
-    tau,
-)
-from .burau import alexander_at, alexander_polynomial, burau_reduced
-from .fixtures import ReferenceBraids, reference_braids
+from .braids import BraidParseError, BraidWord, braid_text, parse_braid
+from .burau import alexander_polynomial
+from .fixtures import reference_braids
 from .geometry import (
-    CrossingEvent,
     SmoothingChoice,
-    SpaceLine,
     apply_smoothing,
     build_configuration,
     project_crossings,
@@ -38,9 +17,6 @@ from .invariants import (
     link_determinant,
     report_json,
 )
-from .laurent import LaurentPolynomial
-from .matrices import IntegerMatrix
-from .seifert import SeifertData, seifert_matrix, symmetrized_determinant
 from .svg import emit_projection_svg
 from .sweep import sweep_full_turn, sweep_half_turn
 
@@ -49,44 +25,20 @@ __version__ = "0.1.0"
 __all__ = [
     "BraidParseError",
     "BraidWord",
-    "CrossingEvent",
-    "IntegerMatrix",
     "InvariantReport",
-    "LaurentPolynomial",
-    "Permutation",
-    "ReferenceBraids",
     "RouteMismatchError",
-    "SeifertData",
     "SmoothingChoice",
-    "SpaceLine",
-    "StrandComponentMap",
-    "alexander_at",
     "alexander_polynomial",
     "apply_smoothing",
     "braid_text",
     "build_configuration",
-    "burau_reduced",
-    "closure_permutation",
-    "components",
-    "components_of_antipodal_closure",
-    "concat",
-    "conjugate",
-    "crossing_strands",
     "emit_projection_svg",
-    "exponent_sum",
-    "free_reduce",
     "full_report",
-    "invert",
     "link_determinant",
-    "linking_matrix",
     "parse_braid",
     "project_crossings",
     "reference_braids",
     "report_json",
-    "seifert_matrix",
-    "stabilize",
     "sweep_full_turn",
     "sweep_half_turn",
-    "symmetrized_determinant",
-    "tau",
 ]

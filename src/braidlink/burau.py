@@ -10,8 +10,6 @@ division, which keeps the value at t = -1 meaningful for even n as well.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .braids import BraidWord
 from .laurent import ONE, T, ZERO, LaurentPolynomial, geometric_sum
 from .matrices import bareiss_determinant_laurent
@@ -55,20 +53,6 @@ def burau_reduced(word: BraidWord) -> BurauMatrix:
     return tuple(tuple(row) for row in m)
 
 
-def burau_multiply(a: BurauMatrix, b: BurauMatrix) -> BurauMatrix:
-    size = len(a)
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = ZERO
-            for k in range(size):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def alexander_polynomial(word: BraidWord) -> LaurentPolynomial:
     """One-variable Alexander polynomial of the closure, normalized so the
     lowest exponent is 0 and the leading coefficient is positive.
@@ -101,14 +85,9 @@ def _normalize(p: LaurentPolynomial) -> LaurentPolynomial:
     return p
 
 
-def alexander_at(word: BraidWord, point: int | Fraction) -> int | Fraction:
-    """Exact value of the normalized Alexander polynomial at a point."""
-    return alexander_polynomial(word).evaluate(point)
-
-
 def determinant_from_burau(word: BraidWord) -> int:
     """Signed Alexander value at t = -1 (the Burau route to the determinant)."""
-    value = alexander_at(word, -1)
+    value = alexander_polynomial(word).evaluate(-1)
     if not isinstance(value, int):
         raise RuntimeError("Alexander value at -1 must be an integer")
     return value

@@ -56,7 +56,7 @@ def _read_word(argument: str) -> BraidWord:
 def cmd_invariants(args: argparse.Namespace) -> int:
     try:
         word = _read_word(args.word)
-    except (BraidParseError, OSError) as err:
+    except (BraidParseError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     points = tuple(args.alexander_at) if args.alexander_at else (-1,)
@@ -107,8 +107,9 @@ def run_paper_checks(braids: ReferenceBraids | None = None, out=None) -> int:
         f"{det_axis} vs {det_inf}",
     )
 
-    for name, word in (("axis", braids.axis), ("infinity", braids.infinity)):
-        comp, curves, singles = _curve_and_axis_components(word)
+    named = (("axis", braids.axis), ("infinity", braids.infinity))
+    closures = {name: _curve_and_axis_components(word) for name, word in named}
+    for name, (comp, _, _) in closures.items():
         shape = sorted(len(comp.strands_in(c)) for c in range(comp.component_count))
         check(
             f"{name} closure components",
@@ -117,7 +118,7 @@ def run_paper_checks(braids: ReferenceBraids | None = None, out=None) -> int:
             "(curve lift: two 4-strand circles, axis lift: one strand)",
         )
 
-    for name, word in (("axis", braids.axis), ("infinity", braids.infinity)):
+    for name, word in named:
         half = BraidWord(word.strand_count, word.letters[: len(word.letters) // 2])
         anti = components_of_antipodal_closure(half)
         sizes = sorted(len(anti.strands_in(c)) for c in range(anti.component_count))
@@ -136,8 +137,7 @@ def run_paper_checks(braids: ReferenceBraids | None = None, out=None) -> int:
         f"{[list(r) for r in lk_axis]} vs {[list(r) for r in lk_inf]}",
     )
     totals = []
-    for word, lk in ((braids.axis, lk_axis), (braids.infinity, lk_inf)):
-        comp, curves, singles = _curve_and_axis_components(word)
+    for (_, curves, singles), lk in zip(closures.values(), (lk_axis, lk_inf)):
         total = sum(lk[c][singles[0]] for c in curves) if len(singles) == 1 else None
         totals.append(total)
     check(

@@ -16,10 +16,7 @@ from math import gcd
 
 Rational = Fraction
 
-AXIS_LABEL = "L"
 INFINITY_LABEL = "L'"
-
-LINE_LABELS = ("l0", "l1", "l2", "l3", "l'0", "l'1", "l'2", "l'3")
 DOUBLE_POINT_LABELS = ("p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3")
 
 
@@ -49,14 +46,6 @@ class SpaceLine:
 def rotate_quarter_turn(p: Point3) -> Point3:
     """Rotation by 90 degrees around the z-axis: (x, y, z) -> (-y, x, z)."""
     return Point3(-p.y, p.x, p.z)
-
-
-def _rotate_vec(v: Vec3) -> Vec3:
-    return Vec3(-v.y, v.x, v.z)
-
-
-def rotate_line(line: SpaceLine, new_label: str) -> SpaceLine:
-    return SpaceLine(new_label, rotate_quarter_turn(line.base), _rotate_vec(line.direction))
 
 
 def base_points() -> dict[str, Point3]:
@@ -90,18 +79,6 @@ def build_configuration() -> tuple[SpaceLine, ...]:
     return tuple(lines)
 
 
-def axis_line() -> SpaceLine:
-    """The z-axis, oriented upward."""
-    return SpaceLine(AXIS_LABEL, Point3(Fraction(0), Fraction(0), Fraction(0)),
-                     Vec3(Fraction(0), Fraction(0), Fraction(1)))
-
-
-def angular_momentum(line: SpaceLine) -> Rational:
-    """The constant value of x dy - y dx along the line; positive exactly
-    when the polar angle increases along the orientation."""
-    return line.base.x * line.direction.y - line.base.y * line.direction.x
-
-
 def point_on_line(line: SpaceLine, t: Rational) -> Point3:
     return Point3(
         line.base.x + t * line.direction.x,
@@ -116,41 +93,37 @@ def point_on_line(line: SpaceLine, t: Rational) -> Point3:
 class Projection:
     """A coordinate projection of the space onto a drawing plane.
 
-    plane(p) gives the drawing coordinates; depth(p) the complementary
-    coordinate, oriented so that larger depth means closer to the viewer
-    (the over strand).
+    plane_axes name the two coordinates drawn; the remaining coordinate,
+    depth_axis, times depth_sign is the depth, larger meaning closer to the
+    viewer (the over strand).  infinity_is_strand is True when the line at
+    infinity L' is a strand of the picture, so that projected-parallel
+    pairs meet it in triple crossings.
     """
 
     name: str
+    plane_axes: tuple[str, str]
+    depth_axis: str
+    depth_sign: int
+    infinity_is_strand: bool
 
-    def plane(self, p: Point3) -> tuple[Rational, Rational]:
-        if self.name == "oxy":
-            return (p.x, p.y)
-        return (p.x, p.z)
-
-    def plane_vec(self, v: Vec3) -> tuple[Rational, Rational]:
-        if self.name == "oxy":
-            return (v.x, v.y)
-        return (v.x, v.z)
+    def plane(self, p: Point3 | Vec3) -> tuple[Rational, Rational]:
+        return (getattr(p, self.plane_axes[0]), getattr(p, self.plane_axes[1]))
 
     def depth(self, p: Point3) -> Rational:
-        # Oxy is viewed from z = +infinity.  The Oxz picture arises from it
-        # by rotating space around the x-axis, which points the y-axis away
-        # from the viewer, so smaller y is closer.
-        if self.name == "oxy":
-            return p.z
-        return -p.y
+        return self.depth_sign * getattr(p, self.depth_axis)
 
 
-OXY = Projection("oxy")
-OXZ = Projection("oxz")
+# Oxy is viewed from z = +infinity.  The Oxz picture arises from it by
+# rotating space around the x-axis, which points the y-axis away from the
+# viewer, so smaller y is closer.
+OXY = Projection("oxy", ("x", "y"), "z", 1, infinity_is_strand=True)
+OXZ = Projection("oxz", ("x", "z"), "y", -1, infinity_is_strand=False)
 
 
 def projection_named(name: str) -> Projection:
-    if name == "oxy":
-        return OXY
-    if name == "oxz":
-        return OXZ
+    for projection in (OXY, OXZ):
+        if projection.name == name:
+            return projection
     raise ValueError(f"unknown projection {name!r}")
 
 
@@ -167,7 +140,7 @@ class ProjectedLine:
 
     def depth_at(self, point: tuple[Rational, Rational]) -> Rational:
         """Depth of the space line over a drawing-plane point on it."""
-        d2 = self.projection.plane_vec(self.source.direction)
+        d2 = self.projection.plane(self.source.direction)
         b2 = self.projection.plane(self.source.base)
         if d2[0] != 0:
             t = Fraction(point[0] - b2[0], d2[0])
@@ -197,7 +170,7 @@ def upper_half_primitive(a, b) -> tuple[int, int]:
 
 def project_line(line: SpaceLine, projection: Projection) -> ProjectedLine:
     b2 = projection.plane(line.base)
-    d2 = projection.plane_vec(line.direction)
+    d2 = projection.plane(line.direction)
     dprim = _primitive(*d2)
     normal = _primitive(d2[1], -d2[0])
     offset_frac = Fraction(normal[0]) * b2[0] + Fraction(normal[1]) * b2[1]
@@ -270,8 +243,8 @@ def project_crossings(
             position = _intersect(a, b)
             if position is None:
                 labels = (a.label, b.label)
-                if projection.name == "oxy":
-                    labels = (a.label, b.label, INFINITY_LABEL)
+                if projection.infinity_is_strand:
+                    labels += (INFINITY_LABEL,)
                 events.append(
                     CrossingEvent(
                         kind="at_infinity",
@@ -399,10 +372,6 @@ def apply_smoothing(
 
 # -- serialization -------------------------------------------------------------
 
-def _rational_str(value: Rational) -> str:
-    return str(value)
-
-
 def event_json_dict(event: CrossingEvent) -> dict:
     return {
         "kind": event.kind,
@@ -410,7 +379,7 @@ def event_json_dict(event: CrossingEvent) -> dict:
         "angle": None if event.angle is None else [event.angle[0], event.angle[1]],
         "position": None
         if event.position is None
-        else [_rational_str(event.position[0]), _rational_str(event.position[1])],
+        else [str(event.position[0]), str(event.position[1])],
         "over": event.over,
         "sign": event.sign,
         "double_point": event.double_point,

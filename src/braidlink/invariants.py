@@ -19,7 +19,8 @@ from .braids import (
     exponent_sum,
     linking_matrix,
 )
-from .burau import alexander_polynomial, determinant_from_burau
+from .burau import alexander_polynomial
+from .laurent import LaurentPolynomial
 from .seifert import seifert_matrix, symmetrized_determinant
 
 SCHEMA_REPORT = "braidlink/report/1"
@@ -37,6 +38,7 @@ class InvariantReport:
     linking: tuple[tuple[int, ...], ...]
     determinant_seifert: int
     determinant_burau: int
+    alexander: LaurentPolynomial
     alexander_at: tuple[tuple[int, int], ...]
 
     @property
@@ -44,50 +46,55 @@ class InvariantReport:
         return abs(self.determinant_seifert)
 
 
-def link_determinant(word: BraidWord) -> int:
-    """|det(V + V^T)| = |Alexander(-1)|, checked along both routes."""
+def _integer_value(alexander: LaurentPolynomial, point: int) -> int:
+    value = alexander.evaluate(point)
+    if isinstance(value, Fraction):
+        raise RuntimeError("integer evaluation points give integer values")
+    return value
+
+
+def _checked_determinants(
+    word: BraidWord, alexander: LaurentPolynomial
+) -> tuple[int, int]:
+    """Signed (det(V + V^T), Alexander(-1)); RouteMismatchError unless the
+    two routes agree in absolute value."""
     det_s = symmetrized_determinant(seifert_matrix(word))
-    det_b = determinant_from_burau(word)
+    det_b = _integer_value(alexander, -1)
     if abs(det_s) != abs(det_b):
         raise RouteMismatchError(
             f"seifert route gave {det_s}, burau route gave {det_b} "
             f"for {braid_text(word)!r}"
         )
+    return det_s, det_b
+
+
+def link_determinant(word: BraidWord) -> int:
+    """|det(V + V^T)| = |Alexander(-1)|, checked along both routes."""
+    det_s, _ = _checked_determinants(word, alexander_polynomial(word))
     return abs(det_s)
 
 
 def full_report(
     word: BraidWord, alexander_points: tuple[int, ...] = (-1,)
 ) -> InvariantReport:
-    comp = components(word)
-    det_s = symmetrized_determinant(seifert_matrix(word))
-    det_b = determinant_from_burau(word)
-    if abs(det_s) != abs(det_b):
-        raise RouteMismatchError(
-            f"seifert route gave {det_s}, burau route gave {det_b} "
-            f"for {braid_text(word)!r}"
-        )
-    poly = alexander_polynomial(word)
-    evaluations = []
-    for point in alexander_points:
-        value = poly.evaluate(point)
-        if isinstance(value, Fraction):
-            raise RuntimeError("integer evaluation points give integer values")
-        evaluations.append((point, value))
+    alexander = alexander_polynomial(word)
+    det_s, det_b = _checked_determinants(word, alexander)
     return InvariantReport(
         strand_count=word.strand_count,
-        component_count=comp.component_count,
+        component_count=components(word).component_count,
         exponent_sum=exponent_sum(word),
         linking=linking_matrix(word),
         determinant_seifert=det_s,
         determinant_burau=det_b,
-        alexander_at=tuple(evaluations),
+        alexander=alexander,
+        alexander_at=tuple(
+            (point, _integer_value(alexander, point)) for point in alexander_points
+        ),
     )
 
 
 def report_json_dict(word: BraidWord, report: InvariantReport) -> dict:
     """Stable-key-order JSON object for the report."""
-    poly = alexander_polynomial(word)
     return {
         "schema": SCHEMA_REPORT,
         "word": braid_text(word),
@@ -97,7 +104,7 @@ def report_json_dict(word: BraidWord, report: InvariantReport) -> dict:
         "linking": [list(row) for row in report.linking],
         "determinant": report.determinant,
         "alexander": {
-            "coefficients": [list(pair) for pair in poly.to_pairs()],
+            "coefficients": [list(pair) for pair in report.alexander.to_pairs()],
             "evaluations": [list(pair) for pair in report.alexander_at],
         },
     }

@@ -28,16 +28,6 @@ class LaurentPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def constant(c: int) -> "LaurentPolynomial":
-        return LaurentPolynomial({0: c})
-
-    @staticmethod
-    def monomial(coeff: int, exp: int) -> "LaurentPolynomial":
-        return LaurentPolynomial({exp: coeff})
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -98,30 +88,11 @@ class LaurentPolynomial:
                     del out[e]
         return LaurentPolynomial(out)
 
-    def scaled(self, c: int) -> "LaurentPolynomial":
-        if c == 0:
-            return ZERO
-        return LaurentPolynomial({e: c * v for e, v in self.coeffs.items()})
-
     def shifted(self, k: int) -> "LaurentPolynomial":
         """Multiply by t**k."""
         return LaurentPolynomial({e + k: v for e, v in self.coeffs.items()})
 
-    def scaled_shift(self, c: int, k: int) -> "LaurentPolynomial":
-        """Multiply by the monomial c * t**k (fast path used by Burau updates)."""
-        if c == 0:
-            return ZERO
-        return LaurentPolynomial({e + k: c * v for e, v in self.coeffs.items()})
-
-    def __pow__(self, n: int) -> "LaurentPolynomial":
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        result = ONE
-        for _ in range(n):
-            result = result * self
-        return result
-
-    # -- evaluation and symmetry ---------------------------------------
+    # -- evaluation ------------------------------------------------------
 
     def evaluate(self, x: int | Fraction) -> int | Fraction:
         """Exact value at a nonzero rational point."""
@@ -136,10 +107,6 @@ class LaurentPolynomial:
         if isinstance(total, Fraction) and total.denominator == 1:
             return int(total)
         return total
-
-    def reciprocal_substituted(self) -> "LaurentPolynomial":
-        """The polynomial p(1/t)."""
-        return LaurentPolynomial({-e: c for e, c in self.coeffs.items()})
 
     # -- exact division -------------------------------------------------
 

@@ -85,10 +85,6 @@ class IntegerMatrix:
     def from_rows(rows) -> "IntegerMatrix":
         return IntegerMatrix(tuple(tuple(int(v) for v in r) for r in rows))
 
-    @staticmethod
-    def zeros(n: int, m: int) -> "IntegerMatrix":
-        return IntegerMatrix(tuple((0,) * m for _ in range(n)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -96,9 +92,6 @@ class IntegerMatrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
 
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(tuple(zip(*self.rows))) if self.rows else self
@@ -122,6 +115,3 @@ class IntegerMatrix:
             raise ValueError("determinant of a non-square matrix")
         return bareiss_determinant_int([list(r) for r in self.rows])
 
-    def row_lists_text(self) -> str:
-        """Plain integer row lists, one row per line, for diffing."""
-        return "\n".join("[" + ", ".join(str(v) for v in r) + "]" for r in self.rows)

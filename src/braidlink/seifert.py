@@ -105,15 +105,3 @@ def symmetrized_determinant(data: SeifertData) -> int:
         return 0
     return data.matrix.symmetrized().determinant()
 
-
-def seifert_alexander_rows(data: SeifertData):
-    """Rows of V - t*V^T as Laurent polynomials (the Seifert route to the
-    Alexander polynomial, used as a cross-check oracle in tests)."""
-    from .laurent import LaurentPolynomial
-
-    v = data.matrix.rows
-    m = len(v)
-    return [
-        [LaurentPolynomial({0: v[i][j], 1: -v[j][i]}) for j in range(m)]
-        for i in range(m)
-    ]

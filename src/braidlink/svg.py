@@ -1,8 +1,8 @@
 """Schematic SVG of a projected line arrangement.
 
-Each line is drawn in two tones split where its complementary coordinate
-changes sign (black positive, grey negative: z for the Oxy picture, y for
-Oxz).  Crossings show the under strand interrupted by a white casing under
+Each line is drawn in two tones split where the projection's depth-axis
+coordinate changes sign (black positive, grey negative: z for the Oxy
+picture, y for Oxz).  Crossings show the under strand interrupted by a white casing under
 the over strand; unresolved or smoothed double points are marked with a
 small circle.  The viewport is fixed to [-7, 7]^2, so output bytes are a
 deterministic function of the input.
@@ -44,7 +44,7 @@ def _clip_parameter_range(line: ProjectedLine) -> tuple[Fraction, Fraction]:
     src = line.source
     proj = line.projection
     b = proj.plane(src.base)
-    d = proj.plane_vec(src.direction)
+    d = proj.plane(src.direction)
     bounds: list[tuple[Fraction, Fraction]] = []
     for axis in (0, 1):
         if d[axis] == 0:
@@ -57,20 +57,15 @@ def _clip_parameter_range(line: ProjectedLine) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _complement_sign_coordinate(line: SpaceLine, projection: Projection, t: Fraction) -> Fraction:
-    point = point_on_line(line, t)
-    return point.z if projection.name == "oxy" else point.y
-
-
 def _line_segments(line: ProjectedLine) -> list[tuple[str, tuple, tuple]]:
     """(tone, start, end) pieces of the clipped line, split at the sign
-    change of the complementary coordinate."""
+    change of the depth-axis coordinate."""
     src, proj = line.source, line.projection
     lo, hi = _clip_parameter_range(line)
     if lo >= hi:
         return []
-    comp_lo = _complement_sign_coordinate(src, proj, lo)
-    comp_hi = _complement_sign_coordinate(src, proj, hi)
+    comp_lo = getattr(point_on_line(src, lo), proj.depth_axis)
+    comp_hi = getattr(point_on_line(src, hi), proj.depth_axis)
 
     def plane_at(t: Fraction):
         return proj.plane(point_on_line(src, t))
@@ -138,9 +133,8 @@ def emit_projection_svg(
         ux, uy = Fraction(d[0], norm), Fraction(d[1], norm)
         a = (event.position[0] - ux * gap, event.position[1] - uy * gap)
         b = (event.position[0] + ux * gap, event.position[1] + uy * gap)
-        tone_coord = over.depth_at(event.position)
-        if projection.name == "oxz":
-            tone_coord = -tone_coord  # depth is -y; tone follows y itself
+        # the tone follows the depth axis coordinate itself, not the depth
+        tone_coord = projection.depth_sign * over.depth_at(event.position)
         tone = TONE_POSITIVE if tone_coord > 0 else TONE_NEGATIVE
         out.append(
             f'<g class="crossing"><polyline points="{_fmt(a)} {_fmt(b)}" '

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -63,6 +64,24 @@ def test_invariants_file_argument(capsys, tmp_path):
     code, out, _ = run(capsys, "invariants", f"@{path}")
     assert code == 0
     assert "determinant:  5" in out
+
+
+def test_invariants_non_utf8_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "word.txt"
+    path.write_bytes(b"B2 1 \xff 1\n")
+    code, out, err = run(capsys, "invariants", f"@{path}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_invariants_non_utf8_stdin_is_usage_error(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"B2 1 \xff 1\n"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "invariants", "-")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_json_output_deterministic(capsys):
@@ -140,3 +159,40 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["construct", "--emit", "nonsense"])
     assert exit_info.value.code == 2
+
+
+AXIS_TEXT = (
+    "B9 1 4 7 -2 3 5 2 4 6 3 5 1 4 7 3 5 2 4 6 3 5 8 7 6 5 4 3 2 1 "
+    "8 5 2 -7 6 4 7 5 3 6 4 8 5 2 6 4 7 5 3 6 4 1 2 3 4 5 6 7 8"
+)
+
+# SHA-256 of the exact stdout bytes; a change here changes what users see.
+STDOUT_SHA256 = [
+    (("paper",),
+     "43ecfc57fcb630bb2bc6490e7854716d5d08e6bdb6498782bb0c6fe1499e0082"),
+    (("paper", "--variant", "positive-q0"),
+     "fdecd756a070c259bf71a391cd776e24d37b54b039d421e4594508a5bbd747ba"),
+    (("invariants", "--json", AXIS_TEXT),
+     "1d840080e537a41db9b652e2588683d88d5ff7f2b9dcb5da6b19748fdbcd407b"),
+    (("invariants", "--alexander-at", "2", AXIS_TEXT),
+     "94a36bb1296ca2378630ac8dff44ff6f68a6905ab962706b8143a1b56a36d55a"),
+    (("construct", "--emit", "crossings", "--projection", "oxy"),
+     "64076428b99daa5cea15a5649b3bcef5c121d01aacb4b6d61f8f4bdad8c45c8d"),
+    (("construct", "--emit", "crossings", "--projection", "oxz"),
+     "2b281222a78298c0974cc927e50e6f63bad1ca37a96027dcc593c7f310f4a0d0"),
+    (("construct", "--emit", "svg", "--projection", "oxy"),
+     "5e235476c83a2e168b69e7349db6ec8a4cbb45f70c70e7aad6197c9673bbb9c5"),
+    (("construct", "--emit", "svg", "--projection", "oxz"),
+     "168cfa753ea80a1184af4eac453e591d299e4524d6ab052c70206153c328a0bc"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    STDOUT_SHA256,
+    ids=[" ".join(argv).replace(AXIS_TEXT, "axis") for argv, _ in STDOUT_SHA256],
+)
+def test_stdout_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

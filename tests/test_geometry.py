@@ -7,19 +7,31 @@ from braidlink.geometry import (
     CrossingEvent,
     SmoothingChoice,
     apply_smoothing,
-    angular_momentum,
     base_points,
     build_configuration,
     crossings_json,
     project_crossings,
     project_line,
-    rotate_line,
     rotate_quarter_turn,
     upper_half_primitive,
     OXY,
     OXZ,
     Point3,
+    SpaceLine,
+    Vec3,
 )
+
+
+def rotate_line(line, new_label):
+    """The line turned by the quarter turn around the z-axis."""
+    d = line.direction
+    return SpaceLine(new_label, rotate_quarter_turn(line.base), Vec3(-d.y, d.x, d.z))
+
+
+def angular_momentum(line):
+    """The constant value of x dy - y dx along the line; positive exactly
+    when the polar angle increases along the orientation."""
+    return line.base.x * line.direction.y - line.base.y * line.direction.x
 
 
 def lines_by_label():

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 from braidlink.braids import BraidWord, parse_braid
+import braidlink.invariants
 from braidlink.fixtures import reference_braids
 from braidlink.invariants import (
+    RouteMismatchError,
     full_report,
     link_determinant,
     report_json,
@@ -109,3 +111,28 @@ def test_report_dict_linking_rows_are_lists():
     word = parse_braid("B2 1 1")
     payload = report_json_dict(word, full_report(word))
     assert payload["linking"] == [[0, 1], [1, 0]]
+
+
+def test_route_mismatch_raises_everywhere(monkeypatch):
+    monkeypatch.setattr(
+        braidlink.invariants, "symmetrized_determinant", lambda data: 4
+    )
+    trefoil = BraidWord(2, (1, 1, 1))
+    with pytest.raises(RouteMismatchError, match="seifert route gave 4"):
+        link_determinant(trefoil)
+    with pytest.raises(RouteMismatchError, match="burau route gave 3"):
+        full_report(trefoil)
+
+
+def test_report_computes_alexander_polynomial_once(monkeypatch):
+    calls = []
+    original = braidlink.invariants.alexander_polynomial
+
+    def counted(word):
+        calls.append(word)
+        return original(word)
+
+    monkeypatch.setattr(braidlink.invariants, "alexander_polynomial", counted)
+    word = reference_braids().axis
+    report_json(word, full_report(word, alexander_points=(-1, 2)))
+    assert len(calls) == 1

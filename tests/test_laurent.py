@@ -42,13 +42,6 @@ def test_negative_exponents():
 def test_shift_and_scale():
     p = poly({0: 2, 3: -1})
     assert p.shifted(-2) == poly({-2: 2, 1: -1})
-    assert p.scaled(3) == poly({0: 6, 3: -3})
-    assert p.scaled_shift(-1, 1) == poly({1: -2, 4: 1})
-
-
-def test_reciprocal_substitution():
-    p = poly({-2: 3, 1: 5})
-    assert p.reciprocal_substituted() == poly({2: 3, -1: 5})
 
 
 def test_exact_division_round_trip():

@@ -4,14 +4,21 @@ from hypothesis import given, settings
 
 from braidlink.braids import BraidWord
 from braidlink.burau import alexander_polynomial, determinant_from_burau
-from braidlink.laurent import ZERO
+from braidlink.laurent import ZERO, LaurentPolynomial
 from braidlink.matrices import bareiss_determinant_laurent
-from braidlink.seifert import (
-    seifert_alexander_rows,
-    seifert_matrix,
-    symmetrized_determinant,
-)
+from braidlink.seifert import seifert_matrix, symmetrized_determinant
 from strategies import braid_words
+
+
+def seifert_alexander_rows(data):
+    """Rows of V - t*V^T as Laurent polynomials (the Seifert route to the
+    Alexander polynomial, the oracle the Burau route is checked against)."""
+    v = data.matrix.rows
+    m = len(v)
+    return [
+        [LaurentPolynomial({0: v[i][j], 1: -v[j][i]}) for j in range(m)]
+        for i in range(m)
+    ]
 
 
 def normalized(p):
