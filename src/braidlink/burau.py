@@ -11,18 +11,10 @@ division, which keeps the value at t = -1 meaningful for even n as well.
 from __future__ import annotations
 
 from .braids import BraidWord
-from .laurent import ONE, T, ZERO, LaurentPolynomial, geometric_sum
+from .laurent import ONE, ZERO, LaurentPolynomial, geometric_sum
 from .matrices import bareiss_determinant_laurent
 
 BurauMatrix = tuple[tuple[LaurentPolynomial, ...], ...]
-
-_MINUS_T = LaurentPolynomial({1: -1})
-_MINUS_T_INV = LaurentPolynomial({-1: -1})
-_T_INV = LaurentPolynomial({-1: 1})
-
-
-def _identity(size: int) -> list[list[LaurentPolynomial]]:
-    return [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
 
 
 def burau_reduced(word: BraidWord) -> BurauMatrix:
@@ -35,21 +27,18 @@ def burau_reduced(word: BraidWord) -> BurauMatrix:
     if n < 2:
         raise ValueError("reduced Burau needs n >= 2")
     size = n - 1
-    m = _identity(size)
+    m = [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
     for e in word.letters:
         r = abs(e) - 1
-        # Right-multiplying by a generator only rewrites column r.
-        if e > 0:
-            above, diag, below = T, _MINUS_T, ONE
-        else:
-            above, diag, below = ONE, _MINUS_T_INV, _T_INV
+        # Right-multiplying by a generator only rewrites column r:
+        # sigma_i gives t*(left - mid) + right, its inverse left + (right - mid)/t.
         for row in m:
-            new = row[r] * diag
-            if r > 0:
-                new = new + row[r - 1] * above
-            if r + 1 < size:
-                new = new + row[r + 1] * below
-            row[r] = new
+            left = row[r - 1] if r > 0 else ZERO
+            right = row[r + 1] if r + 1 < size else ZERO
+            if e > 0:
+                row[r] = (left - row[r]).shifted(1) + right
+            else:
+                row[r] = left + (right - row[r]).shifted(-1)
     return tuple(tuple(row) for row in m)
 
 

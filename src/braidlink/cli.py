@@ -173,9 +173,10 @@ def run_paper_checks(braids: ReferenceBraids | None = None, out=None) -> int:
         braid_text(swept),
     )
     full = sweep_full_turn(lines, apply_smoothing(events, SmoothingChoice.paper()))
+    # A report is a function of its word, so equal words have equal reports.
     check(
         "full turn equals the bundled braid",
-        full == braids.infinity and full_report(full) == full_report(braids.infinity),
+        full == braids.infinity,
         "word and invariant report both match",
     )
 

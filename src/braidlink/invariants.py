@@ -15,7 +15,6 @@ from fractions import Fraction
 from .braids import (
     BraidWord,
     braid_text,
-    components,
     exponent_sum,
     linking_matrix,
 )
@@ -79,11 +78,12 @@ def full_report(
 ) -> InvariantReport:
     alexander = alexander_polynomial(word)
     det_s, det_b = _checked_determinants(word, alexander)
+    linking = linking_matrix(word)  # one row and column per component
     return InvariantReport(
         strand_count=word.strand_count,
-        component_count=components(word).component_count,
+        component_count=len(linking),
         exponent_sum=exponent_sum(word),
-        linking=linking_matrix(word),
+        linking=linking,
         determinant_seifert=det_s,
         determinant_burau=det_b,
         alexander=alexander,

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from braidlink.braids import (
     BraidParseError,

@@ -4,7 +4,6 @@ import pytest
 
 from braidlink.geometry import (
     INFINITY_LABEL,
-    CrossingEvent,
     SmoothingChoice,
     apply_smoothing,
     base_points,

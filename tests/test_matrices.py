@@ -2,13 +2,44 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from braidlink.braids import BraidWord
 from braidlink.laurent import ONE, ZERO, LaurentPolynomial
 from braidlink.matrices import (
     IntegerMatrix,
     bareiss_determinant_int,
     bareiss_determinant_laurent,
+    sparse_determinant_int,
 )
+from braidlink.seifert import seifert_matrix, symmetrized_determinant
+from strategies import braid_words
+
+
+def dense_bareiss(rows):
+    """Dense fraction-free elimination in the given order, every row
+    rescaled at every step: the oracle for the sparse, lazily scaled one."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(map(int, r)) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def naive_det(rows):
@@ -84,9 +115,7 @@ def test_laurent_determinant_matches_integer_specialization():
 def test_integer_matrix_type():
     m = IntegerMatrix.from_rows([[0, 1], [-1, 2]])
     assert m.nrows == m.ncols == 2
-    assert m.transpose().rows == ((0, -1), (1, 2))
-    assert m.symmetrized().rows == ((0, 0), (0, 4))
-    assert m.determinant() == 1
+    assert m.rows == ((0, 1), (-1, 2))
 
 
 def test_integer_matrix_rejects_bad_input():
@@ -94,3 +123,104 @@ def test_integer_matrix_rejects_bad_input():
         IntegerMatrix(((0, 1), (2,)))
     with pytest.raises(TypeError):
         IntegerMatrix(((0.5,),))
+
+
+# -- sparse elimination with lazy scaling ------------------------------------
+
+
+def chain_with_far_row(n, diagonal, far):
+    """Tridiagonal rows 1..n-2 with the given diagonal, row 0 reaching only
+    column n-1, and row n-1 holding columns 0, n-2 and n-1.  Row n-1 is
+    updated at step 0 and next touched at step n-2, so it is rescaled
+    lazily across the n-3 chain pivots in between."""
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0], rows[0][n - 1] = diagonal, far
+    for i in range(1, n - 1):
+        rows[i][i] = diagonal
+        if i + 1 < n - 1:
+            rows[i][i + 1] = rows[i + 1][i] = 1
+    rows[n - 1][0], rows[n - 1][n - 2], rows[n - 1][n - 1] = far, 1, diagonal + 1
+    rows[n - 2][n - 1] = 1
+    return rows
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 20, 40])
+@pytest.mark.parametrize("diagonal, far", [(3, 2), (-5, 7), (2, -1), (10**6, 3)])
+def test_lazily_scaled_row_touched_many_steps_later(n, diagonal, far):
+    rows = chain_with_far_row(n, diagonal, far)
+    assert bareiss_determinant_int(rows) == dense_bareiss(rows)
+    if n <= 4:
+        assert bareiss_determinant_int(rows) == naive_det(rows)
+
+
+@pytest.mark.parametrize("n", [4, 9, 25])
+def test_lazily_scaled_row_swapped_in_for_a_zero_pivot(n):
+    """The row that replaces a zero pivot last changed many steps earlier."""
+    rows = chain_with_far_row(n, 3, 2)
+    rows[n - 2] = [0] * n  # zero in its own column: the far row swaps in
+    rows[n - 2][n - 3], rows[n - 2][n - 1] = 1, 4
+    rows[n - 3][n - 2] = 0
+    assert dense_bareiss(rows) != 0
+    assert bareiss_determinant_int(rows) == dense_bareiss(rows)
+
+
+def test_sparse_rows_in_any_order():
+    rng = random.Random(3)
+    for n in (1, 2, 5, 9):
+        for _ in range(40):
+            dense = [
+                [rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(n)]
+                for _ in range(n)
+            ]
+            sparse = [{j: v for j, v in enumerate(r) if v} for r in dense]
+            assert sparse_determinant_int(sparse) == dense_bareiss(dense)
+    assert sparse_determinant_int([]) == 1
+    assert sparse_determinant_int([{0: 0}]) == 0
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_sparse_elimination_matches_dense_oracle(rows):
+    assert bareiss_determinant_int(rows) == dense_bareiss(rows)
+
+
+def column_major_symmetrized(word):
+    v = seifert_matrix(word).matrix.rows
+    return [[x + y for x, y in zip(row, column)] for row, column in zip(v, zip(*v))]
+
+
+@settings(max_examples=150)
+@given(braid_words(max_strands=9, max_len=40))
+def test_sweep_order_determinant_matches_column_major_oracle(w):
+    data = seifert_matrix(w)
+    expected = 0 if data.split else dense_bareiss(column_major_symmetrized(w))
+    assert symmetrized_determinant(data) == expected
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        BraidWord(2, (-1, 1, 1, -1, 1, 1, 1, -1, -1, -1, -1, -1, -1, 1, 1, -1, -1, -1)),
+        BraidWord(3, (1, -1, 2, -1, 2, -2, -1, 1, -1, -1, 1, -1, -2, -1, -2, 2, 1, -2, 2, -1)),
+        BraidWord(4, (-3, 1, 2, 3, -2, -2, 3, -1, 2, 1, -2)),
+        BraidWord(5, (-4, 4, -2, -2, 2, -3, 3, -3, -4, -4, -4, 4, -4, 1, 2, 2)),
+        BraidWord(6, (-5, 5, -4, 1, -3, 5, -3, 2, -3, 4, 2, -2, -5, 5, 4)),
+    ],
+)
+def test_mixed_sign_words_force_row_swaps(word):
+    """Loops bounded by crossings of both signs have a zero self pairing.
+    Each of these words meets zero pivots in the sweep order and swaps rows
+    an odd number of times, and its determinant is nonzero, so a lost swap
+    sign would show."""
+    data = seifert_matrix(word)
+    expected = dense_bareiss(column_major_symmetrized(word))
+    assert expected != 0
+    assert symmetrized_determinant(data) == expected
