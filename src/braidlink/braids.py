@@ -113,6 +113,15 @@ _INT_RE = re.compile(r"^-?\d+$")
 _MACRO_EXPANSIONS = {"D45": (4, 5, 4)}
 
 
+def _number(digits: str) -> int:
+    """int(digits); a parse error, not a ValueError, past the interpreter's
+    limit on the digits of an integer string (CPython 3.11 and later)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise BraidParseError(f"number of {len(digits)} characters is too long") from None
+
+
 def parse_braid(text: str) -> BraidWord:
     """Parse braid text: optional leading "B<n>" header, then letters.
 
@@ -128,7 +137,7 @@ def parse_braid(text: str) -> BraidWord:
     declared: int | None = None
     header = _HEADER_RE.match(tokens[0])
     if header:
-        declared = int(header.group(1))
+        declared = _number(header.group(1))
         if declared < 1:
             raise BraidParseError("strand count must be positive")
         tokens = tokens[1:]
@@ -140,13 +149,13 @@ def parse_braid(text: str) -> BraidWord:
             continue
         gen = _GENERATOR_RE.match(tok)
         if gen:
-            index = int(gen.group(1))
+            index = _number(gen.group(1))
             if index == 0:
                 raise BraidParseError(f"generator index must be positive: {tok!r}")
             letters.append(-index if gen.group(2) else index)
             continue
         if _INT_RE.match(tok):
-            value = int(tok)
+            value = _number(tok)
             if value == 0:
                 raise BraidParseError("0 is not a valid letter")
             letters.append(value)

@@ -6,13 +6,15 @@ and 1 below; inverses hold 1 above, -1/t on and 1/t below.  For a word w
 with closure L, det(burau(w) - I) equals the Alexander polynomial of L
 times 1 + t + ... + t^(n-1), up to a unit: the quotient is taken by exact
 division, which keeps the value at t = -1 meaningful for even n as well.
+The determinant is matrices.sparse_determinant over Z[t, 1/t], the same
+sparse fraction-free elimination as on the Seifert route.
 """
 
 from __future__ import annotations
 
 from .braids import BraidWord
 from .laurent import ONE, ZERO, LaurentPolynomial, geometric_sum
-from .matrices import bareiss_determinant_laurent
+from .matrices import sparse_determinant
 
 BurauMatrix = tuple[tuple[LaurentPolynomial, ...], ...]
 
@@ -52,13 +54,11 @@ def alexander_polynomial(word: BraidWord) -> LaurentPolynomial:
     n = word.strand_count
     if n == 1:
         return ONE
-    m = burau_reduced(word)
-    size = n - 1
     shifted = [
-        [m[i][j] - ONE if i == j else m[i][j] for j in range(size)]
-        for i in range(size)
+        {j: entry - ONE if i == j else entry for j, entry in enumerate(row)}
+        for i, row in enumerate(burau_reduced(word))
     ]
-    det = bareiss_determinant_laurent(shifted)
+    det = sparse_determinant(shifted, ONE)
     if det.is_zero:
         return ZERO
     quotient = det.exact_div(geometric_sum(n))

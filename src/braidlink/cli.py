@@ -37,7 +37,7 @@ from .geometry import (
 )
 from .invariants import full_report, link_determinant, report_json, report_text
 from .svg import emit_projection_svg
-from .sweep import sweep_full_turn, sweep_half_turn
+from .sweep import sweep_full_turn
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -63,10 +63,12 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     if -1 not in points:
         points = (-1,) + points
     report = full_report(word, alexander_points=points)
-    if args.json:
-        print(report_json(word, report))
-    else:
-        print(report_text(word, report))
+    try:
+        text = report_json(word, report) if args.json else report_text(word, report)
+    except ValueError as err:  # an integer past the interpreter's str limit
+        print(f"error: report value too large to print: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    print(text)
     return EXIT_OK
 
 
@@ -166,13 +168,14 @@ def run_paper_checks(braids: ReferenceBraids | None = None, out=None) -> int:
         f"{len(triples)} triples at infinity",
     )
 
-    swept = sweep_half_turn(lines, apply_smoothing(events, SmoothingChoice.paper()))
+    full = sweep_full_turn(lines, apply_smoothing(events, SmoothingChoice.paper()))
+    # The full turn is the half turn and its flipped image, of equal length.
+    swept = BraidWord(full.strand_count, full.letters[: len(full.letters) // 2])
     check(
         "sweep reproduces the bundled half-turn word",
         swept == infinity_half_braid(),
         braid_text(swept),
     )
-    full = sweep_full_turn(lines, apply_smoothing(events, SmoothingChoice.paper()))
     # A report is a function of its word, so equal words have equal reports.
     check(
         "full turn equals the bundled braid",

@@ -4,8 +4,8 @@ A polynomial is stored densely: its lowest exponent and the tuple of its
 coefficients from that exponent up, with no zero at either end; the zero
 polynomial is the empty tuple.  ``coeffs`` gives the {exponent:
 coefficient} map of the nonzero terms.  All arithmetic is exact over the
-integers.  Division is only provided as exact division (raises if the
-divisor does not divide).
+integers.  Division is only provided as exact division, ``exact_div`` or
+``//``, which raises ValueError if the divisor does not divide.
 
 Products of two polynomials that both have more than ``SCHOOLBOOK_MAX``
 terms use Kronecker substitution: each factor is evaluated at t = 2**w,
@@ -200,6 +200,8 @@ class LaurentPolynomial:
         if any(rem[:top]):
             raise ValueError("division is not exact (nonzero remainder)")
         return LaurentPolynomial._dense(self.low - divisor.low, q)
+
+    __floordiv__ = exact_div
 
     # -- dunder plumbing -------------------------------------------------
 

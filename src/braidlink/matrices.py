@@ -1,38 +1,51 @@
-"""Exact matrices: arbitrary-precision integer matrices and fraction-free
-determinants (Bareiss elimination), for plain integers and for Laurent
-polynomial entries.  No floating point anywhere.
+"""Exact matrices: an immutable integer matrix type and the one
+fraction-free determinant (Bareiss elimination), over Z and over
+Z[t, 1/t].  No floating point anywhere.
 
-The integer elimination works on sparse rows, {column: value} maps of the
-nonzero entries, and scales lazily.  After k steps of Bareiss elimination
-an entry of a row whose pivot-column entry was zero at every step since
-step s is its value after step s times p_k / p_s, where p_k is the k-th
-pivot (p_0 = 1); the quotient is exact because both values are minors of
-the matrix.  Such a row is therefore left as stored, together with the
-step s its values belong to, and rescaled only when a later step needs
-it.  A step costs the entries of the rows that hold a nonzero in its
-pivot column, not a pass over every remaining row.
+The elimination works on sparse rows, {column: value} maps of the nonzero
+entries, and scales lazily.  After k steps an entry of a row whose
+pivot-column entry was zero at every step since step s is its value after
+step s times p_k / p_s, where p_k is the k-th pivot (p_0 = 1).  Both
+values are minors of the matrix, so this rescale, like every Bareiss
+quotient, is exact in any integral domain (E. H. Bareiss, Math. Comp.
+1968): // is floor division with no remainder in Z and the checked exact
+division in Z[t, 1/t].  Such a row is left as stored, with the step its
+values belong to, and rescaled only when a later step needs it, so a step
+costs only the rows that hold a nonzero in its pivot column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TypeVar
 
-from .laurent import ONE, ZERO, LaurentPolynomial
+from .laurent import ONE, LaurentPolynomial
+
+R = TypeVar("R", int, LaurentPolynomial)
 
 
 def bareiss_determinant_int(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    return sparse_determinant(_square_sparse(rows), 1)
+
+
+def bareiss_determinant_laurent(
+    rows: Sequence[Sequence[LaurentPolynomial]],
+) -> LaurentPolynomial:
+    """Determinant of a square matrix over Z[t, 1/t], likewise."""
+    return sparse_determinant(_square_sparse(rows), ONE)
+
+
+def _square_sparse(rows: Sequence[Sequence[R]]) -> list[dict[int, R]]:
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix is not square")
-    return sparse_determinant_int([{j: v for j, v in enumerate(r) if v} for r in rows])
+    return [dict(enumerate(r)) for r in rows]
 
 
-def sparse_determinant_int(rows: list[dict[int, int]]) -> int:
-    """Determinant of the n x n integer matrix whose row i has the entries
-    rows[i] ({column: value}, absent columns 0), by fraction-free
-    elimination in the given row and column order."""
+def sparse_determinant(rows: list[dict[int, R]], one: R) -> R:
+    """Determinant of the n x n matrix whose row i has the entries rows[i]
+    ({column: value}, absent columns zero) over the ring with unit one, by
+    fraction-free elimination in the given row and column order."""
     n = len(rows)
     rows = [{j: v for j, v in r.items() if v} for r in rows]
     # holders[j]: the rows not yet used as pivot rows with a nonzero in column j
@@ -41,13 +54,13 @@ def sparse_determinant_int(rows: list[dict[int, int]]) -> int:
         for j in row:
             holders[j].add(i)
     stored_at = [0] * n  # the step whose values rows[i] holds
-    pivots = [1]  # pivots[k]: the divisor of step k
-    sign = 1
+    pivots = [one]  # pivots[k]: the divisor of step k
+    negate = False
     for k in range(n):
         below = holders[k]
         if k not in below:
             if not below:
-                return 0
+                return one - one
             i = min(below)
             for j in rows[k]:
                 holders[j].discard(k)
@@ -59,7 +72,7 @@ def sparse_determinant_int(rows: list[dict[int, int]]) -> int:
                 holders[j].add(k)
             for j in rows[i]:
                 holders[j].add(i)
-            sign = -sign
+            negate = not negate
         prev = pivots[k]
         pivot_row = _rescaled(rows[k], prev, pivots[stored_at[k]])
         pivot = pivot_row.pop(k)
@@ -85,45 +98,15 @@ def sparse_determinant_int(rows: list[dict[int, int]]) -> int:
             rows[i] = {j: v // prev for j, v in row.items()}
             stored_at[i] = k + 1
         pivots.append(pivot)
-    return sign * pivots[n]
+    return -pivots[n] if negate else pivots[n]
 
 
-def _rescaled(row: dict[int, int], scale: int, stored_scale: int) -> dict[int, int]:
+def _rescaled(row: dict[int, R], scale: R, stored_scale: R) -> dict[int, R]:
     """The row's values after the step with divisor scale, from those after
     the step with divisor stored_scale (an exact quotient of minors)."""
     if scale == stored_scale:
         return row
     return {j: v * scale // stored_scale for j, v in row.items()}
-
-
-def bareiss_determinant_laurent(
-    rows: list[list[LaurentPolynomial]],
-) -> LaurentPolynomial:
-    """Determinant over Z[t, 1/t]; Bareiss divisions are exact in the ring."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return ONE
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return result if sign == 1 else -result
 
 
 @dataclass(frozen=True)

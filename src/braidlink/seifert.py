@@ -42,7 +42,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .braids import BraidWord
-from .matrices import IntegerMatrix, sparse_determinant_int
+from .matrices import IntegerMatrix, sparse_determinant
 
 
 @dataclass(frozen=True)
@@ -137,4 +137,4 @@ def symmetrized_determinant(data: SeifertData) -> int:
         i, j = place[a], place[b]
         rows[i][j] = rows[i].get(j, 0) + value
         rows[j][i] = rows[j].get(i, 0) + value
-    return sparse_determinant_int(rows)
+    return sparse_determinant(rows, 1)

@@ -1,10 +1,11 @@
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 
-from braidlink.braids import BraidWord
+from braidlink.braids import BraidParseError, BraidWord, parse_braid
 from braidlink.cli import main, run_paper_checks
 from braidlink.fixtures import reference_braids
 
@@ -49,6 +50,43 @@ def test_invariants_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "invariants", "B2 7 zz")
     assert code == 2
     assert "error" in err
+
+
+HUGE_DIGITS = "9" * 5000
+# CPython 3.11 and later refuse to convert integers this long to or from text.
+needs_int_str_limit = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(HUGE_DIGITS),
+    reason="no integer string conversion limit below 5000 digits",
+)
+
+
+@needs_int_str_limit
+@pytest.mark.parametrize(
+    "text",
+    ["B" + HUGE_DIGITS, HUGE_DIGITS, "s" + HUGE_DIGITS],
+    ids=["header", "letter", "generator"],
+)
+def test_huge_number_token_is_a_parse_error(capsys, text):
+    with pytest.raises(BraidParseError, match="too long"):
+        parse_braid(text)
+    code, out, err = run(capsys, "invariants", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "too long" in err
+
+
+# The (t^501 + 1)/(t + 1) of this torus knot has more than 5000 digits at 10^11.
+TORUS_501 = "B2 " + " ".join(["1"] * 501)
+
+
+@needs_int_str_limit
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_invariants_alexander_value_too_long_to_print(capsys, json_flag):
+    argv = ("invariants", *json_flag, "--alexander-at", "100000000000", TORUS_501)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "too large to print" in err
 
 
 def test_invariants_stdin(capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -6,40 +8,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidlink.braids import BraidWord
+from braidlink.invariants import full_report
 from braidlink.laurent import ONE, ZERO, LaurentPolynomial
 from braidlink.matrices import (
     IntegerMatrix,
     bareiss_determinant_int,
     bareiss_determinant_laurent,
-    sparse_determinant_int,
+    sparse_determinant,
 )
 from braidlink.seifert import seifert_matrix, symmetrized_determinant
 from strategies import braid_words
 
 
-def dense_bareiss(rows):
-    """Dense fraction-free elimination in the given order, every row
-    rescaled at every step: the oracle for the sparse, lazily scaled one."""
+def dense_bareiss(rows, one):
+    """Dense fraction-free elimination over the ring with unit one, in the
+    given order, every row rescaled at every step: the oracle for the
+    sparse, lazily scaled one."""
     n = len(rows)
     if n == 0:
-        return 1
-    a = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
+        return one
+    a = [list(r) for r in rows]
+    negate = False
+    prev = one
     for k in range(n - 1):
-        if a[k][k] == 0:
+        if not a[k][k]:
             for i in range(k + 1, n):
-                if a[i][k] != 0:
+                if a[i][k]:
                     a[k], a[i] = a[i], a[k]
-                    sign = -sign
+                    negate = not negate
                     break
             else:
-                return 0
+                return one - one
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return -a[n - 1][n - 1] if negate else a[n - 1][n - 1]
 
 
 def naive_det(rows):
@@ -128,19 +132,19 @@ def test_integer_matrix_rejects_bad_input():
 # -- sparse elimination with lazy scaling ------------------------------------
 
 
-def chain_with_far_row(n, diagonal, far):
+def chain_with_far_row(n, diagonal, far, one=1):
     """Tridiagonal rows 1..n-2 with the given diagonal, row 0 reaching only
-    column n-1, and row n-1 holding columns 0, n-2 and n-1.  Row n-1 is
-    updated at step 0 and next touched at step n-2, so it is rescaled
-    lazily across the n-3 chain pivots in between."""
-    rows = [[0] * n for _ in range(n)]
+    column n-1, and row n-1 holding columns 0, n-2 and n-1, over the ring
+    with unit one.  Row n-1 is updated at step 0 and next touched at step
+    n-2, so it is rescaled lazily across the n-3 chain pivots in between."""
+    rows = [[one - one] * n for _ in range(n)]
     rows[0][0], rows[0][n - 1] = diagonal, far
     for i in range(1, n - 1):
         rows[i][i] = diagonal
         if i + 1 < n - 1:
-            rows[i][i + 1] = rows[i + 1][i] = 1
-    rows[n - 1][0], rows[n - 1][n - 2], rows[n - 1][n - 1] = far, 1, diagonal + 1
-    rows[n - 2][n - 1] = 1
+            rows[i][i + 1] = rows[i + 1][i] = one
+    rows[n - 1][0], rows[n - 1][n - 2], rows[n - 1][n - 1] = far, one, diagonal + one
+    rows[n - 2][n - 1] = one
     return rows
 
 
@@ -148,20 +152,86 @@ def chain_with_far_row(n, diagonal, far):
 @pytest.mark.parametrize("diagonal, far", [(3, 2), (-5, 7), (2, -1), (10**6, 3)])
 def test_lazily_scaled_row_touched_many_steps_later(n, diagonal, far):
     rows = chain_with_far_row(n, diagonal, far)
-    assert bareiss_determinant_int(rows) == dense_bareiss(rows)
+    assert bareiss_determinant_int(rows) == dense_bareiss(rows, 1)
     if n <= 4:
         assert bareiss_determinant_int(rows) == naive_det(rows)
+
+
+LAURENT_CHAINS = [
+    (LaurentPolynomial({0: 2, 1: 1}), LaurentPolynomial({-1: 3})),
+    (LaurentPolynomial({-1: 1, 0: -3, 1: 1}), LaurentPolynomial({0: 1, 2: -1})),
+    (LaurentPolynomial({5: -7}), LaurentPolynomial({0: 2, 1: -1, 3: 1})),
+]
+
+
+@pytest.mark.parametrize("n", [3, 8, 20])
+@pytest.mark.parametrize("diagonal, far", LAURENT_CHAINS)
+def test_laurent_row_lazily_scaled_over_many_steps(n, diagonal, far):
+    rows = chain_with_far_row(n, diagonal, far, ONE)
+    assert bareiss_determinant_laurent(rows) == dense_bareiss(rows, ONE)
+
+
+def chain_needing_far_row_swap(n, diagonal, far, one=1):
+    """chain_with_far_row with row n-2 holding nothing in its own column,
+    so the far row, last changed at step 0, swaps in at step n-2."""
+    rows = chain_with_far_row(n, diagonal, far, one)
+    zero = one - one
+    rows[n - 2] = [zero] * n
+    rows[n - 2][n - 3], rows[n - 2][n - 1] = one, far + far
+    rows[n - 3][n - 2] = zero
+    return rows
 
 
 @pytest.mark.parametrize("n", [4, 9, 25])
 def test_lazily_scaled_row_swapped_in_for_a_zero_pivot(n):
     """The row that replaces a zero pivot last changed many steps earlier."""
-    rows = chain_with_far_row(n, 3, 2)
-    rows[n - 2] = [0] * n  # zero in its own column: the far row swaps in
-    rows[n - 2][n - 3], rows[n - 2][n - 1] = 1, 4
-    rows[n - 3][n - 2] = 0
-    assert dense_bareiss(rows) != 0
-    assert bareiss_determinant_int(rows) == dense_bareiss(rows)
+    rows = chain_needing_far_row_swap(n, 3, 2)
+    assert dense_bareiss(rows, 1) != 0
+    assert bareiss_determinant_int(rows) == dense_bareiss(rows, 1)
+
+
+@pytest.mark.parametrize("n", [4, 9, 25])
+def test_laurent_row_swapped_in_for_a_zero_pivot(n):
+    rows = chain_needing_far_row_swap(n, *LAURENT_CHAINS[0], ONE)
+    expected = dense_bareiss(rows, ONE)
+    assert expected
+    assert bareiss_determinant_laurent(rows) == expected
+
+
+def laurent_entry(rng):
+    """A nonzero Laurent polynomial of up to three terms."""
+    while True:
+        terms = {rng.randint(-2, 2): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))}
+        if p := LaurentPolynomial(terms):
+            return p
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 25])
+def test_laurent_shuffled_triangular_rows(n):
+    """The rows of a sparse upper triangular Laurent matrix in shuffled
+    order: every step whose row was moved away has a zero pivot and swaps,
+    and a row waits lazily scaled until its step.  Without extra entries
+    the determinant is the signed product of the diagonal; with entries
+    below the diagonal, steps eliminate too and the dense oracle decides."""
+    rng = random.Random(f"shuffled:{n}")
+    for extra in (0, 1, n):
+        rows = [
+            [laurent_entry(rng) if j == i or (j > i and rng.random() < 0.25) else ZERO
+             for j in range(n)]
+            for i in range(n)
+        ]
+        diagonal = [rows[i][i] for i in range(n)]
+        for _ in range(extra):
+            i = rng.randrange(1, n)
+            rows[i][rng.randrange(i)] = laurent_entry(rng)
+        order = rng.sample(range(n), n)
+        shuffled = [rows[i] for i in order]
+        expected = dense_bareiss(shuffled, ONE)
+        if not extra:
+            product = functools.reduce(operator.mul, diagonal, ONE)
+            inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+            assert expected == (-product if inversions % 2 else product)
+        assert bareiss_determinant_laurent(shuffled) == expected
 
 
 def test_sparse_rows_in_any_order():
@@ -173,9 +243,9 @@ def test_sparse_rows_in_any_order():
                 for _ in range(n)
             ]
             sparse = [{j: v for j, v in enumerate(r) if v} for r in dense]
-            assert sparse_determinant_int(sparse) == dense_bareiss(dense)
-    assert sparse_determinant_int([]) == 1
-    assert sparse_determinant_int([{0: 0}]) == 0
+            assert sparse_determinant(sparse, 1) == dense_bareiss(dense, 1)
+    assert sparse_determinant([], 1) == 1
+    assert sparse_determinant([{0: 0}], 1) == 0
 
 
 @settings(max_examples=60)
@@ -189,7 +259,7 @@ def test_sparse_rows_in_any_order():
     )
 )
 def test_sparse_elimination_matches_dense_oracle(rows):
-    assert bareiss_determinant_int(rows) == dense_bareiss(rows)
+    assert bareiss_determinant_int(rows) == dense_bareiss(rows, 1)
 
 
 def column_major_symmetrized(word):
@@ -201,7 +271,7 @@ def column_major_symmetrized(word):
 @given(braid_words(max_strands=9, max_len=40))
 def test_sweep_order_determinant_matches_column_major_oracle(w):
     data = seifert_matrix(w)
-    expected = 0 if data.split else dense_bareiss(column_major_symmetrized(w))
+    expected = 0 if data.split else dense_bareiss(column_major_symmetrized(w), 1)
     assert symmetrized_determinant(data) == expected
 
 
@@ -221,6 +291,18 @@ def test_mixed_sign_words_force_row_swaps(word):
     an odd number of times, and its determinant is nonzero, so a lost swap
     sign would show."""
     data = seifert_matrix(word)
-    expected = dense_bareiss(column_major_symmetrized(word))
+    expected = dense_bareiss(column_major_symmetrized(word), 1)
     assert expected != 0
     assert symmetrized_determinant(data) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 31, 60])
+def test_wide_mixed_sign_unknots(n):
+    """Each generator once, with random signs, in order and shuffled: the
+    closure is the unknot, and its Burau matrix B - I is sparse and wide."""
+    rng = random.Random(f"unknot:{n}")
+    for generators in (range(1, n), rng.sample(range(1, n), n - 1)):
+        word = BraidWord(n, tuple(rng.choice((1, -1)) * i for i in generators))
+        report = full_report(word)
+        assert (report.determinant_seifert, report.determinant_burau) == (1, 1)
+        assert report.alexander == ONE
