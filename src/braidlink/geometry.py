@@ -19,16 +19,13 @@ Rational = Fraction
 INFINITY_LABEL = "L'"
 DOUBLE_POINT_LABELS = ("p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3")
 
+Direction = tuple[int, int]
+
 
 @dataclass(frozen=True)
 class Point3:
-    x: Rational
-    y: Rational
-    z: Rational
+    """A point, or a direction vector, of the affine chart."""
 
-
-@dataclass(frozen=True)
-class Vec3:
     x: Rational
     y: Rational
     z: Rational
@@ -40,7 +37,7 @@ class SpaceLine:
 
     label: str
     base: Point3
-    direction: Vec3
+    direction: Point3
 
 
 def rotate_quarter_turn(p: Point3) -> Point3:
@@ -59,9 +56,9 @@ def base_points() -> dict[str, Point3]:
 
 
 def _line_through(label: str, a: Point3, b: Point3) -> SpaceLine:
-    d = Vec3(b.x - a.x, b.y - a.y, b.z - a.z)
+    d = Point3(b.x - a.x, b.y - a.y, b.z - a.z)
     if d.z < 0:
-        d = Vec3(-d.x, -d.y, -d.z)  # orient with dz > 0
+        d = Point3(-d.x, -d.y, -d.z)  # orient with dz > 0
     if d.z == 0:
         raise ValueError("configuration lines must not be horizontal")
     return SpaceLine(label, a, d)
@@ -77,14 +74,6 @@ def build_configuration() -> tuple[SpaceLine, ...]:
     for k in range(4):
         lines.append(_line_through(f"l'{k}", pts[f"p{k}"], pts[f"q{(k+1) % 4}"]))
     return tuple(lines)
-
-
-def point_on_line(line: SpaceLine, t: Rational) -> Point3:
-    return Point3(
-        line.base.x + t * line.direction.x,
-        line.base.y + t * line.direction.y,
-        line.base.z + t * line.direction.z,
-    )
 
 
 # -- projections ------------------------------------------------------------
@@ -106,7 +95,7 @@ class Projection:
     depth_sign: int
     infinity_is_strand: bool
 
-    def plane(self, p: Point3 | Vec3) -> tuple[Rational, Rational]:
+    def plane(self, p: Point3) -> tuple[Rational, Rational]:
         return (getattr(p, self.plane_axes[0]), getattr(p, self.plane_axes[1]))
 
     def depth(self, p: Point3) -> Rational:
@@ -129,24 +118,48 @@ def projection_named(name: str) -> Projection:
 
 @dataclass(frozen=True)
 class ProjectedLine:
-    """Image of a space line in the drawing plane: points with n . X = c."""
+    """Image of a space line base + t * direction in the drawing plane.
+
+    The one parametrisation: at parameter t the image point is
+    base + t * step and the space line lies at depth depth + t * depth_step
+    over it (base, step and the depths are the projection's coordinates of
+    the space line's base and direction).  The same points satisfy
+    normal . X = offset, and direction is the primitive integer step.
+    """
 
     label: str
     normal: tuple[int, int]
     offset: int
-    direction: tuple[int, int]  # oriented image of the space direction
-    source: SpaceLine
-    projection: Projection
+    direction: Direction
+    base: tuple[Rational, Rational]
+    step: tuple[Rational, Rational]
+    depth: Rational
+    depth_step: Rational
+
+    def point_at(self, t: Rational) -> tuple[Rational, Rational]:
+        return (self.base[0] + t * self.step[0], self.base[1] + t * self.step[1])
 
     def depth_at(self, point: tuple[Rational, Rational]) -> Rational:
         """Depth of the space line over a drawing-plane point on it."""
-        d2 = self.projection.plane(self.source.direction)
-        b2 = self.projection.plane(self.source.base)
-        if d2[0] != 0:
-            t = Fraction(point[0] - b2[0], d2[0])
-        else:
-            t = Fraction(point[1] - b2[1], d2[1])
-        return self.projection.depth(point_on_line(self.source, t))
+        axis = 0 if self.step[0] != 0 else 1
+        t = Fraction(point[axis] - self.base[axis], self.step[axis])
+        return self.depth + t * self.depth_step
+
+
+def half_turn_direction(d: Direction, start: Direction) -> tuple[Direction, tuple]:
+    """The representative r of +-d whose angle from start lies in [0, pi),
+    and a key ordering such representatives by that angle: the start class
+    first, then counterclockwise over the half turn.
+
+    This is the one direction order of the arrangement: the crossing list
+    is sorted by it from (1, 0) and the sweep scans by it from its start.
+    """
+    cross = start[0] * d[1] - start[1] * d[0]
+    dot = start[0] * d[0] + start[1] * d[1]
+    if cross < 0 or (cross == 0 and dot < 0):
+        d, cross, dot = (-d[0], -d[1]), -cross, -dot
+    # -cot of the angle from start increases over (0, pi)
+    return d, ((0, 0) if cross == 0 else (1, Fraction(-dot, cross)))
 
 
 def _primitive(a: Fraction | int, b: Fraction | int) -> tuple[int, int]:
@@ -159,26 +172,25 @@ def _primitive(a: Fraction | int, b: Fraction | int) -> tuple[int, int]:
     return (ia // g, ib // g)
 
 
-def upper_half_primitive(a, b) -> tuple[int, int]:
+def upper_half_primitive(a, b) -> Direction:
     """Primitive integer direction normalized modulo 180 degrees: second
     component positive, or zero with the first positive."""
-    ia, ib = _primitive(a, b)
-    if ib < 0 or (ib == 0 and ia < 0):
-        ia, ib = -ia, -ib
-    return (ia, ib)
+    return half_turn_direction(_primitive(a, b), (1, 0))[0]
 
 
 def project_line(line: SpaceLine, projection: Projection) -> ProjectedLine:
     b2 = projection.plane(line.base)
     d2 = projection.plane(line.direction)
-    dprim = _primitive(*d2)
     normal = _primitive(d2[1], -d2[0])
     offset_frac = Fraction(normal[0]) * b2[0] + Fraction(normal[1]) * b2[1]
     # scale normal so the offset is an integer (configuration data is integral)
     if offset_frac.denominator != 1:
         normal = (normal[0] * offset_frac.denominator, normal[1] * offset_frac.denominator)
         offset_frac = offset_frac * offset_frac.denominator
-    return ProjectedLine(line.label, normal, int(offset_frac), dprim, line, projection)
+    return ProjectedLine(
+        line.label, normal, int(offset_frac), _primitive(*d2), b2, d2,
+        projection.depth(line.base), projection.depth(line.direction),
+    )
 
 
 # -- crossings ---------------------------------------------------------------
@@ -196,7 +208,7 @@ class CrossingEvent:
 
     kind: str
     labels: tuple[str, ...]
-    angle: tuple[int, int] | None  # scan direction; None for a crossing at the origin
+    angle: Direction | None  # scan direction; None for a crossing at the origin
     position: tuple[Rational, Rational] | None = None
     over: str | None = None
     sign: int | None = None
@@ -213,15 +225,6 @@ def _intersect(a: ProjectedLine, b: ProjectedLine) -> tuple[Rational, Rational] 
     return (x, y)
 
 
-def _match_double_point(
-    position: tuple[Rational, Rational], projection: Projection
-) -> str | None:
-    for name, point in base_points().items():
-        if projection.plane(point) == position:
-            return name
-    return None
-
-
 def project_crossings(
     lines: tuple[SpaceLine, ...], projection: Projection | str
 ) -> list[CrossingEvent]:
@@ -235,68 +238,45 @@ def project_crossings(
     if isinstance(projection, str):
         projection = projection_named(projection)
     projected = [project_line(line, projection) for line in lines]
+    double_points = {projection.plane(p): name for name, p in base_points().items()}
     events: list[CrossingEvent] = []
 
-    for i in range(len(projected)):
-        for j in range(i + 1, len(projected)):
-            a, b = projected[i], projected[j]
+    for i, a in enumerate(projected):
+        for b in projected[i + 1:]:
+            labels = (a.label, b.label)
             position = _intersect(a, b)
             if position is None:
-                labels = (a.label, b.label)
                 if projection.infinity_is_strand:
                     labels += (INFINITY_LABEL,)
                 events.append(
-                    CrossingEvent(
-                        kind="at_infinity",
-                        labels=labels,
-                        angle=upper_half_primitive(*a.direction),
-                    )
+                    CrossingEvent("at_infinity", labels, upper_half_primitive(*a.direction))
                 )
                 continue
-            depth_a = a.depth_at(position)
-            depth_b = b.depth_at(position)
             angle = None if position == (0, 0) else upper_half_primitive(*position)
+            # a crossing is positive exactly when this line is the over one
+            det = a.direction[0] * b.direction[1] - a.direction[1] * b.direction[0]
+            positive_over = a.label if det > 0 else b.label
+            depth_a, depth_b = a.depth_at(position), b.depth_at(position)
             if depth_a == depth_b:
-                name = _match_double_point(position, projection)
+                name = double_points.get(position)
                 if name is None:
                     raise RuntimeError(
                         f"unexpected spatial intersection of {a.label} and {b.label}"
                     )
-                det = a.direction[0] * b.direction[1] - a.direction[1] * b.direction[0]
-                events.append(
-                    CrossingEvent(
-                        kind="finite",
-                        labels=(a.label, b.label),
-                        angle=angle,
-                        position=position,
-                        double_point=name,
-                        positive_over=a.label if det > 0 else b.label,
-                    )
-                )
-                continue
-            over, under = (a, b) if depth_a > depth_b else (b, a)
-            det = over.direction[0] * under.direction[1] - over.direction[1] * under.direction[0]
-            events.append(
-                CrossingEvent(
-                    kind="finite",
-                    labels=(a.label, b.label),
-                    angle=angle,
-                    position=position,
-                    over=over.label,
-                    sign=1 if det > 0 else -1,
-                )
-            )
+                event = CrossingEvent("finite", labels, angle, position,
+                                      double_point=name, positive_over=positive_over)
+            else:
+                over = a.label if depth_a > depth_b else b.label
+                event = CrossingEvent("finite", labels, angle, position,
+                                      over=over, sign=1 if over == positive_over else -1)
+            events.append(event)
     events.sort(key=_event_sort_key)
     return events
 
 
 def _event_sort_key(event: CrossingEvent):
-    if event.angle is None:
-        slope = (-1, Fraction(0))
-    else:
-        a, b = event.angle
-        # angle in [0, pi) ordered by slope; horizontal first
-        slope = (0, Fraction(0)) if b == 0 else (1, Fraction(-a, b))
+    # the origin crossing first, then by angle from (1, 0)
+    slope = (-1,) if event.angle is None else half_turn_direction(event.angle, (1, 0))[1]
     pos = event.position if event.position is not None else (Fraction(0), Fraction(0))
     return (slope, 0 if event.kind == "finite" else 1, pos, event.labels)
 

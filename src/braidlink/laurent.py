@@ -2,8 +2,8 @@
 
 A polynomial is stored densely: its lowest exponent and the tuple of its
 coefficients from that exponent up, with no zero at either end; the zero
-polynomial is the empty tuple.  ``coeffs`` gives the {exponent:
-coefficient} map of the nonzero terms.  All arithmetic is exact over the
+polynomial is the empty tuple.  ``to_pairs`` gives the (exponent,
+coefficient) pairs of the nonzero terms.  All arithmetic is exact over the
 integers.  Division is only provided as exact division, ``exact_div`` or
 ``//``, which raises ValueError if the divisor does not divide.
 
@@ -67,11 +67,6 @@ class LaurentPolynomial:
         raise AttributeError("LaurentPolynomial is immutable")
 
     # -- structure ----------------------------------------------------
-
-    @property
-    def coeffs(self) -> dict[int, int]:
-        """{exponent: coefficient} of the nonzero terms."""
-        return {self.low + i: c for i, c in enumerate(self.terms) if c}
 
     @property
     def is_zero(self) -> bool:

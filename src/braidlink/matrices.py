@@ -24,22 +24,14 @@ from .laurent import ONE, LaurentPolynomial
 R = TypeVar("R", int, LaurentPolynomial)
 
 
-def bareiss_determinant_int(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    return sparse_determinant(_square_sparse(rows), 1)
-
-
 def bareiss_determinant_laurent(
     rows: Sequence[Sequence[LaurentPolynomial]],
 ) -> LaurentPolynomial:
-    """Determinant of a square matrix over Z[t, 1/t], likewise."""
-    return sparse_determinant(_square_sparse(rows), ONE)
-
-
-def _square_sparse(rows: Sequence[Sequence[R]]) -> list[dict[int, R]]:
+    """Determinant of a square matrix over Z[t, 1/t], given as dense rows,
+    by fraction-free elimination."""
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix is not square")
-    return [dict(enumerate(r)) for r in rows]
+    return sparse_determinant([dict(enumerate(r)) for r in rows], ONE)
 
 
 def sparse_determinant(rows: list[dict[int, R]], one: R) -> R:

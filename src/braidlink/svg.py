@@ -18,7 +18,6 @@ from .geometry import (
     SmoothingChoice,
     SpaceLine,
     apply_smoothing,
-    point_on_line,
     project_crossings,
     project_line,
     projection_named,
@@ -39,49 +38,41 @@ def _fmt(p: tuple[Fraction, Fraction]) -> str:
     return f"{x:.2f},{y:.2f}"
 
 
+def _tone(depth_axis_coordinate: Fraction) -> str:
+    return TONE_POSITIVE if depth_axis_coordinate > 0 else TONE_NEGATIVE
+
+
 def _clip_parameter_range(line: ProjectedLine) -> tuple[Fraction, Fraction]:
-    """Parameter range of source points whose projection lies in the box."""
-    src = line.source
-    proj = line.projection
-    b = proj.plane(src.base)
-    d = proj.plane(src.direction)
+    """Parameter range of the line's points that lie in the box."""
     bounds: list[tuple[Fraction, Fraction]] = []
     for axis in (0, 1):
-        if d[axis] == 0:
+        if line.step[axis] == 0:
             continue
-        t1 = Fraction(-VIEW - b[axis], d[axis])
-        t2 = Fraction(VIEW - b[axis], d[axis])
+        t1 = Fraction(-VIEW - line.base[axis], line.step[axis])
+        t2 = Fraction(VIEW - line.base[axis], line.step[axis])
         bounds.append((min(t1, t2), max(t1, t2)))
     lo = max(t[0] for t in bounds)
     hi = min(t[1] for t in bounds)
     return lo, hi
 
 
-def _line_segments(line: ProjectedLine) -> list[tuple[str, tuple, tuple]]:
-    """(tone, start, end) pieces of the clipped line, split at the sign
-    change of the depth-axis coordinate."""
-    src, proj = line.source, line.projection
+def _line_segments(line: ProjectedLine, depth_sign: int) -> list[tuple[str, tuple, tuple]]:
+    """(tone, start, end) pieces of the clipped line, split where the
+    depth-axis coordinate, depth_sign times the depth, changes sign."""
     lo, hi = _clip_parameter_range(line)
     if lo >= hi:
         return []
-    comp_lo = getattr(point_on_line(src, lo), proj.depth_axis)
-    comp_hi = getattr(point_on_line(src, hi), proj.depth_axis)
-
-    def plane_at(t: Fraction):
-        return proj.plane(point_on_line(src, t))
-
-    if comp_lo == comp_hi:  # constant along the line
-        tone = TONE_POSITIVE if comp_lo > 0 else TONE_NEGATIVE
-        return [(tone, plane_at(lo), plane_at(hi))]
-    t_zero = lo + (hi - lo) * Fraction(0 - comp_lo, comp_hi - comp_lo)
-    pieces = []
-    if lo < t_zero:
-        tone = TONE_POSITIVE if comp_lo > 0 else TONE_NEGATIVE
-        pieces.append((tone, plane_at(lo), plane_at(min(t_zero, hi))))
-    if t_zero < hi:
-        tone = TONE_POSITIVE if comp_hi > 0 else TONE_NEGATIVE
-        pieces.append((tone, plane_at(max(t_zero, lo)), plane_at(hi)))
-    return pieces
+    cuts = [lo, hi]
+    if line.depth_step != 0:
+        t_zero = -line.depth / line.depth_step
+        if lo < t_zero < hi:
+            cuts.insert(1, t_zero)
+    # the depth is linear in t, so a piece has the sign of its midpoint
+    return [
+        (_tone(depth_sign * (line.depth + (a + b) / 2 * line.depth_step)),
+         line.point_at(a), line.point_at(b))
+        for a, b in zip(cuts, cuts[1:])
+    ]
 
 
 def emit_projection_svg(
@@ -105,7 +96,8 @@ def emit_projection_svg(
     ]
     for line in lines:
         out.append(f'<g class="line" id="line-{line.label}">')
-        for tone, start, end in _line_segments(projected[line.label]):
+        segments = _line_segments(projected[line.label], projection.depth_sign)
+        for tone, start, end in segments:
             out.append(
                 f'<polyline points="{_fmt(start)} {_fmt(end)}" fill="none" '
                 f'stroke="{tone}" stroke-width="2"/>'
@@ -134,8 +126,7 @@ def emit_projection_svg(
         a = (event.position[0] - ux * gap, event.position[1] - uy * gap)
         b = (event.position[0] + ux * gap, event.position[1] + uy * gap)
         # the tone follows the depth axis coordinate itself, not the depth
-        tone_coord = projection.depth_sign * over.depth_at(event.position)
-        tone = TONE_POSITIVE if tone_coord > 0 else TONE_NEGATIVE
+        tone = _tone(projection.depth_sign * over.depth_at(event.position))
         out.append(
             f'<g class="crossing"><polyline points="{_fmt(a)} {_fmt(b)}" '
             f'fill="none" stroke="#ffffff" stroke-width="8"/>'

@@ -1,74 +1,46 @@
 """Rotational sweep of the Oxy projection into a braid word.
 
-A line through the origin is rotated by half a turn starting from the
-horizontal position.  At any instant it meets the eight projected lines in
-eight points; together with the point of the infinity line it carries nine
-strand points.  Cutting the scanning line at the origin (where the vertical
-axis line pierces the picture) orders them: positive ray outward, then the
-infinity point, then the negative ray inward.  Every crossing of the
-smoothed picture is scanned exactly once per half-turn and contributes one
-letter at the position of the swapping pair; a pair of projected-parallel
-lines together with the infinity strand swap simultaneously at their common
-direction and contribute the three letters i, i+1, i of a triple crossing.
+A line through the origin is rotated by half a turn from a start
+direction, the horizontal (1, 0) by default.  At any instant it meets the
+eight projected lines in eight points; together with the point of the
+infinity line it carries nine strand points.  Cutting the scanning line at
+the origin (where the vertical axis line pierces the picture) orders them:
+positive ray outward, then the infinity point, then the negative ray
+inward.  Every crossing of the smoothed picture is scanned exactly once per
+half-turn and contributes one letter at the position of the swapping pair;
+a pair of projected-parallel lines together with the infinity strand swap
+simultaneously at their common direction and contribute the three letters
+i, i+1, i of a triple crossing.
 
 The full-turn braid is the half-turn word followed by its image under
 sigma_i -> sigma_(9-i): the scanning line returns to itself with reversed
 orientation after half a turn.
+
+The scan order is geometry.half_turn_direction, the same direction order
+that sorts the crossing list: each event direction stands for its
+representative at an angle in [0, pi) from the start direction, and the
+events are met in increasing angle of that representative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .braids import BraidWord, concat, tau
 from .geometry import (
     INFINITY_LABEL,
     OXY,
     CrossingEvent,
+    Direction,
     ProjectedLine,
     SpaceLine,
+    half_turn_direction,
     project_line,
-    upper_half_primitive,
 )
-
-Direction = tuple[int, int]
 
 
 class SweepError(RuntimeError):
     """A genericity assumption of the sweep failed."""
-
-
-def _cross(a: Direction, b: Direction) -> int:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _dot(a: Direction, b: Direction) -> int:
-    return a[0] * b[0] + a[1] * b[1]
-
-
-def _half_turn_representative(d: Direction, start: Direction) -> Direction:
-    """The representative of +-d whose angle from start lies in [0, pi)."""
-    cross = _cross(start, d)
-    if cross > 0 or (cross == 0 and _dot(start, d) > 0):
-        return d
-    return (-d[0], -d[1])
-
-
-def _angle_compare(start: Direction):
-    """Order of start-relative half-turn representatives: the start class
-    first, then increasing angle over the half turn."""
-
-    def compare(d1: Direction, d2: Direction) -> int:
-        if d1 == d2:
-            return 0
-        if _cross(start, d1) == 0:
-            return -1
-        if _cross(start, d2) == 0:
-            return 1
-        return -1 if _cross(d1, d2) > 0 else 1
-
-    return compare
 
 
 def strand_order(
@@ -105,23 +77,25 @@ def sweep_half_turn(
     projected = [project_line(line, OXY) for line in lines]
     strand_count = len(projected) + 1
 
-    groups: dict[Direction, list[CrossingEvent]] = {}
+    # keyed by (angle key, representative): the key orders the groups, and
+    # the representative, not event.angle, fixes the orientation of the
+    # scanning line (the strand order at -d is the reverse of that at d)
+    groups: dict[tuple[tuple, Direction], list[CrossingEvent]] = {}
     for event in events:
         if event.double_point is not None and event.sign is None:
             raise SweepError("unresolved double point; apply a smoothing first")
         if event.angle is None:
             raise SweepError("event at the scan origin cannot be swept")
-        rep = _half_turn_representative(upper_half_primitive(*event.angle), start)
-        groups.setdefault(rep, []).append(event)
+        rep, key = half_turn_direction(event.angle, start)
+        groups.setdefault((key, rep), []).append(event)
 
     letters: list[int] = []
-    ordered_angles = sorted(groups, key=cmp_to_key(_angle_compare(start)))
-    for direction in ordered_angles:
+    for (_, direction), group in sorted(groups.items()):
         order = strand_order(projected, direction)
         position = {label: i + 1 for i, label in enumerate(order)}
         staged: list[tuple[int, list[int]]] = []
         occupied: set[int] = set()
-        for event in groups[direction]:
+        for event in group:
             places = sorted(position[label] for label in event.labels)
             if places != list(range(places[0], places[0] + len(places))):
                 raise SweepError(

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from braidlink.braids import (
     BraidParseError,
@@ -54,6 +54,21 @@ def test_parse_generator_names_and_commas():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(BraidParseError):
         parse_braid(bad)
+
+
+# Pieces of the token grammar, so that fuzzed text is mostly near-valid.
+TOKEN_PIECES = ["B", "s", "^-1", "-", ",", " ", "\t", "\n", "D45", *"0123456789"]
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(TOKEN_PIECES)).map("".join)))
+def test_parse_fuzz_only_parse_errors_and_round_trip(text):
+    # parsing only: a huge declared strand count costs nothing here
+    try:
+        word = parse_braid(text)
+    except BraidParseError:
+        return
+    assert parse_braid(braid_text(word)) == word
 
 
 def test_print_canonical():

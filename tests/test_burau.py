@@ -101,7 +101,7 @@ def test_alexander_symmetry(w):
         return
     assert p.min_exp == 0
     assert p.coefficient(p.max_exp) > 0
-    reversed_p = LaurentPolynomial({p.max_exp - e: c for e, c in p.coeffs.items()})
+    reversed_p = LaurentPolynomial({p.max_exp - e: c for e, c in p.to_pairs()})
     assert reversed_p == p or reversed_p == -p
 
 

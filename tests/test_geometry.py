@@ -17,14 +17,13 @@ from braidlink.geometry import (
     OXZ,
     Point3,
     SpaceLine,
-    Vec3,
 )
 
 
 def rotate_line(line, new_label):
     """The line turned by the quarter turn around the z-axis."""
     d = line.direction
-    return SpaceLine(new_label, rotate_quarter_turn(line.base), Vec3(-d.y, d.x, d.z))
+    return SpaceLine(new_label, rotate_quarter_turn(line.base), Point3(-d.y, d.x, d.z))
 
 
 def angular_momentum(line):

@@ -12,12 +12,17 @@ from braidlink.invariants import full_report
 from braidlink.laurent import ONE, ZERO, LaurentPolynomial
 from braidlink.matrices import (
     IntegerMatrix,
-    bareiss_determinant_int,
     bareiss_determinant_laurent,
     sparse_determinant,
 )
 from braidlink.seifert import seifert_matrix, symmetrized_determinant
 from strategies import braid_words
+
+
+def bareiss_determinant_int(rows):
+    """Determinant of a square integer matrix given as dense rows, by the
+    library's one fraction-free elimination."""
+    return sparse_determinant([dict(enumerate(r)) for r in rows], 1)
 
 
 def dense_bareiss(rows, one):
@@ -80,7 +85,7 @@ def test_determinant_matches_permutation_expansion():
 
 def test_determinant_needs_square():
     with pytest.raises(ValueError):
-        bareiss_determinant_int([[1, 2, 3], [4, 5, 6]])
+        bareiss_determinant_laurent([[ONE, ONE, ONE], [ONE, ZERO, ONE]])
 
 
 def test_singular_matrix():

@@ -1,4 +1,8 @@
+from functools import cmp_to_key
+from math import gcd
+
 import pytest
+from hypothesis import given, strategies as st
 
 from braidlink.braids import braid_text, exponent_sum
 from braidlink.fixtures import (
@@ -9,6 +13,7 @@ from braidlink.geometry import (
     SmoothingChoice,
     apply_smoothing,
     build_configuration,
+    half_turn_direction,
     project_crossings,
     OXY,
 )
@@ -69,19 +74,102 @@ def test_sweep_rejects_unresolved_double_points(lines, oxy_events):
         sweep_half_turn(lines, oxy_events)
 
 
-def test_sweep_from_diagonal_start_gives_the_same_closure(lines, oxy_events):
+# Full-turn words of the paper smoothing from other start directions: the
+# same closed diagram cut at another page.  Pinned letter for letter, so a
+# sweep that scans some direction with the wrong orientation (the strand
+# order at -d is the reverse of that at d) shows as a changed word.
+WORDS_FROM_OTHER_STARTS = {
+    (1, 1): "B9 2 4 5 4 7 3 6 1 4 5 4 8 3 6 2 4 5 4 7 3 6 1 4 5 4 8 -7 3 6 "
+            "7 5 4 5 2 6 3 8 5 4 5 1 6 3 7 5 4 5 2 6 3 8 5 4 5 1 -2 6 3",
+    (0, 1): "B9 1 4 5 4 8 3 6 2 4 5 4 7 3 6 1 4 5 4 8 -7 3 6 2 4 5 4 7 3 6 "
+            "8 5 4 5 1 6 3 7 5 4 5 2 6 3 8 5 4 5 1 -2 6 3 7 5 4 5 2 6 3",
+    (-1, 1): "B9 2 4 5 4 7 3 6 1 4 5 4 8 -7 3 6 2 4 5 4 7 3 6 1 4 5 4 8 3 6 "
+             "7 5 4 5 2 6 3 8 5 4 5 1 -2 6 3 7 5 4 5 2 6 3 8 5 4 5 1 6 3",
+    (2, 1): "B9 3 6 2 4 5 4 7 3 6 1 4 5 4 8 3 6 2 4 5 4 7 3 6 1 4 5 4 8 -7 "
+            "6 3 7 5 4 5 2 6 3 8 5 4 5 1 6 3 7 5 4 5 2 6 3 8 5 4 5 1 -2",
+    (1, -3): "B9 3 6 2 4 5 4 7 3 6 1 4 5 4 8 -2 3 6 2 4 5 4 7 3 6 1 4 5 4 8 "
+             "6 3 7 5 4 5 2 6 3 8 5 4 5 1 -7 6 3 7 5 4 5 2 6 3 8 5 4 5 1",
+}
+
+
+@pytest.mark.parametrize(
+    "start", list(WORDS_FROM_OTHER_STARTS), ids=lambda s: f"{s[0]},{s[1]}"
+)
+def test_sweep_from_other_start_gives_the_same_closure(lines, oxy_events, start):
     smoothed = apply_smoothing(oxy_events, SmoothingChoice.paper())
     base = sweep_full_turn(lines, smoothed)
-    rotated = sweep_full_turn(lines, smoothed, start=(1, 1))
+    rotated = sweep_full_turn(lines, smoothed, start=start)
+    assert braid_text(rotated) == WORDS_FROM_OTHER_STARTS[start]
     # same closed diagram cut at a different page: same letter multiset and
     # closure invariants (the words differ by triple-point and far moves)
-    assert len(rotated.letters) == 58
     assert sorted(rotated.letters) == sorted(base.letters)
     report_base, report_rotated = full_report(base), full_report(rotated)
     assert report_rotated.determinant == report_base.determinant
     assert report_rotated.component_count == report_base.component_count
     assert report_rotated.linking == report_base.linking
     assert report_rotated.exponent_sum == report_base.exponent_sum
+
+
+# -- the direction order against the comparator it replaced -------------------
+# The sweep once ordered directions with this comparator through cmp_to_key;
+# it stays here as the oracle for geometry.half_turn_direction.
+
+
+def _cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def _half_turn_representative(d, start):
+    """The representative of +-d whose angle from start lies in [0, pi)."""
+    cross = _cross(start, d)
+    if cross > 0 or (cross == 0 and _dot(start, d) > 0):
+        return d
+    return (-d[0], -d[1])
+
+
+def _angle_compare(start):
+    """Order of start-relative half-turn representatives: the start class
+    first, then increasing angle over the half turn."""
+
+    def compare(d1, d2):
+        if d1 == d2:
+            return 0
+        if _cross(start, d1) == 0:
+            return -1
+        if _cross(start, d2) == 0:
+            return 1
+        return -1 if _cross(d1, d2) > 0 else 1
+
+    return compare
+
+
+def _primitive(d):
+    g = gcd(*d)
+    return (d[0] // g, d[1] // g)
+
+
+small = st.integers(min_value=-7, max_value=7)
+nonzero_vectors = st.tuples(small, small).filter(lambda d: d != (0, 0))
+
+
+@given(nonzero_vectors, st.lists(nonzero_vectors.map(_primitive), max_size=12))
+def test_direction_order_matches_the_comparator_oracle(start, directions):
+    # the start's own class, its negative and antiparallel pairs always occur
+    own = _primitive(start)
+    directions = directions + [own, (-own[0], -own[1])]
+    directions += [(-d[0], -d[1]) for d in directions[:2]]
+    reps = {}
+    for d in directions:
+        rep, key = half_turn_direction(d, start)
+        assert rep == _half_turn_representative(d, start)
+        assert reps.setdefault(rep, key) == key
+    by_key = sorted(reps, key=reps.__getitem__)
+    assert by_key == sorted(reps, key=cmp_to_key(_angle_compare(start)))
+    assert by_key[0] == own
 
 
 def test_sweep_word_text(lines, oxy_events):
