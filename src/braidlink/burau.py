@@ -6,8 +6,10 @@ and 1 below; inverses hold 1 above, -1/t on and 1/t below.  For a word w
 with closure L, det(burau(w) - I) equals the Alexander polynomial of L
 times 1 + t + ... + t^(n-1), up to a unit: the quotient is taken by exact
 division, which keeps the value at t = -1 meaningful for even n as well.
-The determinant is matrices.sparse_determinant over Z[t, 1/t], the same
-sparse fraction-free elimination as on the Seifert route.
+The product is built as sparse rows, {column: entry} maps of the nonzero
+entries, which go as they are to matrices.sparse_determinant over
+Z[t, 1/t], so no zero is stored; burau_reduced is their dense view, read
+by the tests and the benchmark's stage replay.
 """
 
 from __future__ import annotations
@@ -16,32 +18,32 @@ from .braids import BraidWord
 from .laurent import ONE, ZERO, LaurentPolynomial, geometric_sum
 from .matrices import sparse_determinant
 
-BurauMatrix = tuple[tuple[LaurentPolynomial, ...], ...]
 
-
-def burau_reduced(word: BraidWord) -> BurauMatrix:
-    """Product of reduced Burau generator matrices over the word's letters.
-
-    Respects concatenation: burau(ab) = burau(a) * burau(b).  Requires at
-    least two strands.
-    """
-    n = word.strand_count
-    if n < 2:
-        raise ValueError("reduced Burau needs n >= 2")
-    size = n - 1
-    m = [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
+def _burau_rows(word: BraidWord) -> list[dict[int, LaurentPolynomial]]:
+    """The Burau product as sparse rows; no rows for one strand."""
+    rows = [{i: ONE} for i in range(word.strand_count - 1)]
     for e in word.letters:
         r = abs(e) - 1
         # Right-multiplying by a generator only rewrites column r:
         # sigma_i gives t*(left - mid) + right, its inverse left + (right - mid)/t.
-        for row in m:
-            left = row[r - 1] if r > 0 else ZERO
-            right = row[r + 1] if r + 1 < size else ZERO
-            if e > 0:
-                row[r] = (left - row[r]).shifted(1) + right
-            else:
-                row[r] = left + (right - row[r]).shifted(-1)
-    return tuple(tuple(row) for row in m)
+        for row in rows:
+            left, mid, right = row.get(r - 1, ZERO), row.pop(r, ZERO), row.get(r + 1, ZERO)
+            entry = (left - mid).shifted(1) + right if e > 0 else left + (right - mid).shifted(-1)
+            if entry:
+                row[r] = entry
+    return rows
+
+
+def burau_reduced(word: BraidWord) -> tuple[tuple[LaurentPolynomial, ...], ...]:
+    """Dense product of the reduced Burau generator matrices over the letters.
+
+    Respects concatenation: burau(ab) = burau(a) * burau(b).  Requires at
+    least two strands.
+    """
+    size = word.strand_count - 1
+    if size < 1:
+        raise ValueError("reduced Burau needs n >= 2")
+    return tuple(tuple(row.get(j, ZERO) for j in range(size)) for row in _burau_rows(word))
 
 
 def alexander_polynomial(word: BraidWord) -> LaurentPolynomial:
@@ -51,18 +53,11 @@ def alexander_polynomial(word: BraidWord) -> LaurentPolynomial:
     Computed as det(burau(w) - I) divided exactly by 1 + t + ... + t^(n-1).
     Split closures give the zero polynomial; the one-strand word gives 1.
     """
-    n = word.strand_count
-    if n == 1:
-        return ONE
-    shifted = [
-        {j: entry - ONE if i == j else entry for j, entry in enumerate(row)}
-        for i, row in enumerate(burau_reduced(word))
-    ]
-    det = sparse_determinant(shifted, ONE)
-    if det.is_zero:
-        return ZERO
-    quotient = det.exact_div(geometric_sum(n))
-    return _normalize(quotient)
+    rows = _burau_rows(word)
+    for i, row in enumerate(rows):
+        row[i] = row.get(i, ZERO) - ONE
+    det = sparse_determinant(rows, ONE)
+    return _normalize(det.exact_div(geometric_sum(word.strand_count)))
 
 
 def _normalize(p: LaurentPolynomial) -> LaurentPolynomial:

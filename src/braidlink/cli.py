@@ -271,9 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parse_args keeps no state between calls.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except BraidParseError as err:

@@ -237,7 +237,13 @@ def project_crossings(
     """
     if isinstance(projection, str):
         projection = projection_named(projection)
-    projected = [project_line(line, projection) for line in lines]
+    return crossings_of([project_line(line, projection) for line in lines], projection)
+
+
+def crossings_of(
+    projected: list[ProjectedLine], projection: Projection
+) -> list[CrossingEvent]:
+    """project_crossings of lines already projected by projection."""
     double_points = {projection.plane(p): name for name, p in base_points().items()}
     events: list[CrossingEvent] = []
 

@@ -18,7 +18,7 @@ from .geometry import (
     SmoothingChoice,
     SpaceLine,
     apply_smoothing,
-    project_crossings,
+    crossings_of,
     project_line,
     projection_named,
 )
@@ -83,7 +83,7 @@ def emit_projection_svg(
     if isinstance(projection, str):
         projection = projection_named(projection)
     projected = {line.label: project_line(line, projection) for line in lines}
-    events = project_crossings(lines, projection)
+    events = crossings_of(list(projected.values()), projection)
     if smoothing is not None:
         events = apply_smoothing(events, smoothing)
 

@@ -1,9 +1,11 @@
+import contextlib
 import hashlib
 import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidlink.braids import BraidParseError, BraidWord, parse_braid
 from braidlink.cli import main, run_paper_checks
@@ -197,6 +199,65 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["construct", "--emit", "nonsense"])
     assert exit_info.value.code == 2
+
+
+def test_alexander_points_do_not_carry_over_between_calls(capsys):
+    _, first, _ = run(capsys, "invariants", "--alexander-at", "2", "B2 1 1 1")
+    _, second, _ = run(capsys, "invariants", "--alexander-at", "3", "B2 1 1 1")
+    _, third, _ = run(capsys, "invariants", "B2 1 1 1")
+    assert "alexander(2)" in first and "alexander(3)" not in first
+    assert "alexander(3)" in second and "alexander(2)" not in second
+    assert "alexander(2)" not in third and "alexander(3)" not in third
+
+
+# each subcommand's flags with every value they take, kept together so that
+# many argv parse and reach the subcommand
+FUZZ_OPTIONS = {
+    "invariants": [["--json"], ["--alexander-at", "2"], ["--alexander-at", "-1"],
+                   ["--alexander-at", "0"]],
+    "paper": [["--variant", "positive-q0"]],
+    "construct": [["--projection", "oxy"], ["--projection", "oxz"], ["--smoothing", "paper"],
+                  ["--smoothing", "all-positive"], ["--emit", "braid"],
+                  ["--emit", "crossings"], ["--emit", "svg"]],
+}
+# braid texts stay at n <= 6, since main computes their invariants unbounded
+FUZZ_WORDS = ["B1", "B2 1 1 1", "B3 1 -2 1 -2", "B4 1 3", "B6 5 -5 1", "1 1 1", "B3 7", "zz", ""]
+FUZZ_STRAYS = [
+    *FUZZ_OPTIONS, "--json", "--alexander-at", "--variant", "--projection", "--smoothing",
+    "--emit", "oxz", "svg", "-h", "--bogus", "--", "-1", "B", " ", "@",
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "word.txt").write_text("B3 1 2 -1\n", encoding="utf-8")
+    (root / "empty.txt").write_text("", encoding="utf-8")
+    (root / "latin1.txt").write_bytes(b"B2 1 \xff")
+    names = ("word.txt", "empty.txt", "latin1.txt", "missing.txt")
+    return [f"@{root / name}" for name in names] + [f"@{root}"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_main_fuzz_exits_cleanly(fuzz_paths, data):
+    # a subcommand with its options and, for invariants, a word or path ("-"
+    # is left out: it would read the test runner's standard input), then
+    # stray tokens anywhere
+    command = data.draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    options = data.draw(st.lists(st.sampled_from(FUZZ_OPTIONS[command]), max_size=3))
+    argv = [command, *(token for option in options for token in option)]
+    if command == "invariants":
+        argv.append(data.draw(st.sampled_from(FUZZ_WORDS + fuzz_paths)))
+    for token in data.draw(st.lists(st.sampled_from(FUZZ_STRAYS + FUZZ_WORDS), max_size=2)):
+        argv.insert(data.draw(st.integers(min_value=0, max_value=len(argv))), token)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:
+            assert exit_info.code in (0, 2)
+        else:
+            assert code in (0, 1, 2)
 
 
 AXIS_TEXT = (
