@@ -43,6 +43,11 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
+# invariants refuses words on more strands: the linking matrix and the Burau
+# rows grow with the strand count, so a few characters could ask for
+# gigabytes.  The library itself is unbounded.
+MAX_STRANDS = 1000
+
 
 def _read_word(argument: str) -> BraidWord:
     if argument == "-":
@@ -58,6 +63,9 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         word = _read_word(args.word)
     except (BraidParseError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    if word.strand_count > MAX_STRANDS:
+        print(f"error: braid has more than {MAX_STRANDS} strands", file=sys.stderr)
         return EXIT_USAGE
     points = tuple(args.alexander_at) if args.alexander_at else (-1,)
     if -1 not in points:

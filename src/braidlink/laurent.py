@@ -7,21 +7,24 @@ coefficient) pairs of the nonzero terms.  All arithmetic is exact over the
 integers.  Division is only provided as exact division, ``exact_div`` or
 ``//``, which raises ValueError if the divisor does not divide.
 
-Products of two polynomials that both have more than ``SCHOOLBOOK_MAX``
-terms use Kronecker substitution: each factor is evaluated at t = 2**w,
-packed into one Python int with one w-bit slot per coefficient, the two
-ints are multiplied, and the product's coefficients are read back as
-signed base-2**w digits.  The slot width comes from an exact integer bound
-on the product's coefficients, min(terms) * max|f_i| * max|g_j|, so every
-digit lies strictly between -2**(w-1) and 2**(w-1) and the read-back is
-exact; no float is involved.
+Kronecker substitution packs a polynomial into one Python int: its value
+at t = 2**w, one w-bit slot per coefficient, w a multiple of 8.
+``kronecker_pack`` and ``kronecker_unpack`` are the one pair that packs a
+coefficient list and reads a packed int back as signed base-2**w digits.
+The read-back is exact whenever every coefficient lies strictly between
+-2**(w-1) and 2**(w-1), so each caller picks w from an exact integer bound
+on its coefficients; no float is involved.  Products of two polynomials
+that both have more than ``SCHOOLBOOK_MAX`` terms are one multiplication
+of packed ints, with w from the bound min(terms) * max|f_i| * max|g_j| on
+the product's coefficients; the Burau product (burau.py) keeps its matrix
+entries packed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, neg, sub
-from typing import Mapping
+from typing import Mapping, Sequence
 
 # Factors with at most this many terms are multiplied term by term.
 SCHOOLBOOK_MAX = 16
@@ -132,8 +135,8 @@ class LaurentPolynomial:
         if len(a) > len(b):
             a, b = b, a
         if len(a) > SCHOOLBOOK_MAX:
-            product = _kronecker_product(a, b)
-        elif len(a) == 1:
+            return _kronecker_product(a, b, self.low + other.low)
+        if len(a) == 1:
             c = a[0]
             product = [c * x for x in b]
         else:
@@ -225,26 +228,44 @@ class LaurentPolynomial:
         return text
 
 
-def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Coefficients of the product of two dense coefficient tuples, by one
-    big-integer multiplication at t = 2**(8 * width)."""
+def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...], low: int) -> LaurentPolynomial:
+    """The product of the polynomials with dense coefficient tuples a and b,
+    times t**low, by one big-integer multiplication."""
     bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
     width = bound.bit_length() // 8 + 1  # bytes per slot: 2**(8*width-1) > bound
+    return kronecker_unpack(kronecker_pack(a, width) * kronecker_pack(b, width), width, low)
+
+
+def _halves(size: int, width: int) -> int:
+    """2**(8*width-1) in each of size slots of width bytes."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * size, "little")
+
+
+def kronecker_pack(coeffs: Sequence[int], width: int) -> int:
+    """sum(coeffs[i] * 2**(8*width*i)): the polynomial with these
+    coefficients, lowest first, at t = 2**(8*width).  Every coefficient must
+    lie strictly between -2**(8*width-1) and 2**(8*width-1)."""
     half = 1 << (8 * width - 1)
-    size = len(a) + len(b) - 1
     # Adding half to every slot makes each digit non-negative, so the packed
-    # integers can be built and read with int.from_bytes and int.to_bytes.
-    offsets = int.from_bytes(half.to_bytes(width, "little") * size, "little")
+    # integer can be built with int.from_bytes.
+    raised = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    return int.from_bytes(raised, "little") - _halves(len(coeffs), width)
 
-    def pack(coeffs: tuple[int, ...]) -> int:
-        shifted = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-        return int.from_bytes(shifted, "little") - (offsets >> (8 * width * (size - len(coeffs))))
 
-    digits = (pack(a) * pack(b) + offsets).to_bytes(width * size, "little")
-    return [
+def kronecker_unpack(value: int, width: int, low: int) -> LaurentPolynomial:
+    """The polynomial sum(d_i * t**(low + i)) over the signed
+    base-2**(8*width) digits d_i of value, each strictly between
+    -2**(8*width-1) and 2**(8*width-1): the inverse of kronecker_pack."""
+    # k such digits with a nonzero top one make a value of 8*width*(k-1) to
+    # 8*width*k - 1 bits, so the bit length gives k.
+    size = value.bit_length() // (8 * width) + 1
+    half = 1 << (8 * width - 1)
+    digits = (value + _halves(size, width)).to_bytes(width * size, "little")
+    coeffs = [
         int.from_bytes(digits[i : i + width], "little") - half
         for i in range(0, width * size, width)
     ]
+    return LaurentPolynomial._dense(low, coeffs)
 
 
 ZERO = LaurentPolynomial()

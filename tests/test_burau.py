@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from braidlink.braids import BraidWord, concat, invert
 from braidlink.burau import (
@@ -71,6 +71,25 @@ def boundary_words(draw):
 @given(boundary_words())
 def test_sparse_product_matches_dense_oracle(w):
     assert burau_reduced(w) == dense_burau(w)
+
+
+@settings(deadline=None)
+@given(braid_words(max_strands=8, max_len=60))
+def test_packed_product_matches_dense_oracle_on_long_words(w):
+    assert burau_reduced(w) == dense_burau(w)
+
+
+@pytest.mark.parametrize(
+    "n, period, repeats, bits",
+    [(3, (1, -2), 60, 79), (4, (1, -2, 3), 80, 148)],
+    ids=["B3-(1 -2)^60", "B4-(1 -2 3)^80"],
+)
+def test_packed_product_past_eight_byte_slots(n, period, repeats, bits):
+    # pseudo-Anosov words: their coefficients outgrow a 64-bit slot
+    w = BraidWord(n, period * repeats)
+    m = burau_reduced(w)
+    assert m == dense_burau(w)
+    assert max(abs(c).bit_length() for row in m for p in row for c in p.terms) == bits
 
 
 @pytest.mark.parametrize("letters", [(1,), (1, -999)], ids=["first", "first-and-last"])

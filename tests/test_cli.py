@@ -220,8 +220,13 @@ FUZZ_OPTIONS = {
                   ["--smoothing", "all-positive"], ["--emit", "braid"],
                   ["--emit", "crossings"], ["--emit", "svg"]],
 }
-# braid texts stay at n <= 6, since main computes their invariants unbounded
-FUZZ_WORDS = ["B1", "B2 1 1 1", "B3 1 -2 1 -2", "B4 1 3", "B6 5 -5 1", "1 1 1", "B3 7", "zz", ""]
+# braid texts stay at n <= 6 or go past the strand limit, which main refuses
+# at once
+OVER_LIMIT = ["B1001 1", "9" * 40]
+FUZZ_WORDS = [
+    "B1", "B2 1 1 1", "B3 1 -2 1 -2", "B4 1 3", "B6 5 -5 1", "1 1 1", "B3 7", "zz", "",
+    *OVER_LIMIT,
+]
 FUZZ_STRAYS = [
     *FUZZ_OPTIONS, "--json", "--alexander-at", "--variant", "--projection", "--smoothing",
     "--emit", "oxz", "svg", "-h", "--bogus", "--", "-1", "B", " ", "@",
@@ -241,23 +246,41 @@ def fuzz_paths(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_main_fuzz_exits_cleanly(fuzz_paths, data):
-    # a subcommand with its options and, for invariants, a word or path ("-"
-    # is left out: it would read the test runner's standard input), then
-    # stray tokens anywhere
+    # a subcommand with its options and, for invariants, a word, a path or
+    # "-" with a drawn standard input, then stray tokens anywhere
     command = data.draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
     options = data.draw(st.lists(st.sampled_from(FUZZ_OPTIONS[command]), max_size=3))
     argv = [command, *(token for option in options for token in option)]
     if command == "invariants":
-        argv.append(data.draw(st.sampled_from(FUZZ_WORDS + fuzz_paths)))
+        argv.append(data.draw(st.sampled_from(FUZZ_WORDS + fuzz_paths + ["-"])))
     for token in data.draw(st.lists(st.sampled_from(FUZZ_STRAYS + FUZZ_WORDS), max_size=2)):
         argv.insert(data.draw(st.integers(min_value=0, max_value=len(argv))), token)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    stdin = io.StringIO(data.draw(st.sampled_from(FUZZ_WORDS)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stdin", stdin)
         try:
             code = main(argv)
         except SystemExit as exit_info:
             assert exit_info.code in (0, 2)
         else:
             assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("source", ["argv", "stdin"])
+@pytest.mark.parametrize("text", OVER_LIMIT)
+def test_strand_limit_exits_2_at_once(capsys, monkeypatch, source, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, "invariants", "-" if source == "stdin" else text)
+    assert code == 2
+    assert out == ""
+    assert err == "error: braid has more than 1000 strands\n"
+
+
+def test_strand_limit_admits_its_bound(capsys):
+    code, out, _ = run(capsys, "invariants", "B1000 1")
+    assert code == 0
+    assert "components:   999" in out
 
 
 AXIS_TEXT = (

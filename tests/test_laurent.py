@@ -10,6 +10,8 @@ from braidlink.laurent import (
     ZERO,
     LaurentPolynomial,
     geometric_sum,
+    kronecker_pack,
+    kronecker_unpack,
 )
 
 
@@ -168,6 +170,44 @@ def test_product_coefficient_at_the_slot_bound(length, bits):
     assert (p * p).coefficient(length - 1) == length * c * c
     assert p * p == schoolbook_product(p, p)
     assert p * -p == schoolbook_product(p, -p)
+
+
+@pytest.mark.parametrize("width", [1, 2, 9])
+def test_pack_unpack_round_trip(width):
+    top = 2 ** (8 * width - 1) - 1  # the extreme digits the slot holds
+    for terms in (
+        [top, -top, top, -top],
+        [-top, 0, 0, top],
+        [0, 1, -1, top],
+        [top, 0, -1],
+        [5, -top],
+        [-1],
+        [top],
+        [0, 0, 7, 0, 0],
+    ):
+        packed = kronecker_pack(terms, width)
+        assert packed == sum(c * 2 ** (8 * width * i) for i, c in enumerate(terms))
+        expected = LaurentPolynomial({i - 3: c for i, c in enumerate(terms)})
+        assert kronecker_unpack(packed, width, -3) == expected
+    assert kronecker_unpack(0, width, 5) == ZERO
+    with pytest.raises(OverflowError):
+        kronecker_pack([top + 1], width)
+
+
+@given(
+    st.sampled_from([1, 2, 9]).flatmap(
+        lambda width: st.tuples(
+            st.just(width),
+            st.lists(st.integers(min_value=1 - 2 ** (8 * width - 1),
+                                 max_value=2 ** (8 * width - 1) - 1), max_size=40),
+        )
+    ),
+    st.integers(min_value=-30, max_value=30),
+)
+def test_pack_unpack_round_trip_drawn(width_and_terms, low):
+    width, terms = width_and_terms
+    expected = LaurentPolynomial({low + i: c for i, c in enumerate(terms)})
+    assert kronecker_unpack(kronecker_pack(terms, width), width, low) == expected
 
 
 def test_product_with_cancelling_ends():
