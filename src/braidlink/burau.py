@@ -19,8 +19,8 @@ letter.  The slot width w comes from an integer pre-pass over the letters.
 A new entry is +-left +- mid +- right, so, from bound 1 on every column
 (the identity) and 0 on the two empty border columns, a letter adds to the
 bound of the column it rewrites those of its two neighbours; the bounds
-grow only in the columns the word touches.  w is the least multiple of 8
-with 2**(w-1) above every bound, so every coefficient reads back exactly.
+grow only in the columns the word touches.  w is 8 * slot_width of the
+largest bound, so every coefficient reads back exactly.
 Column c stores t**s_c times its entries, so every stored value is an
 ordinary polynomial: a letter sets s_c of the column it rewrites to the
 least value that leaves each of the three terms a non-negative shift,
@@ -31,7 +31,7 @@ max(s_left, s_mid + 1, s_right + 1) for its inverse.
 from __future__ import annotations
 
 from .braids import BraidWord
-from .laurent import ONE, ZERO, LaurentPolynomial, geometric_sum, kronecker_unpack
+from .laurent import ONE, ZERO, LaurentPolynomial, geometric_sum, kronecker_unpack, slot_width
 from .matrices import sparse_determinant
 
 
@@ -44,7 +44,7 @@ def _burau_rows(word: BraidWord) -> list[dict[int, LaurentPolynomial]]:
     for e in letters:
         r = abs(e)
         bound[r] += bound[r - 1] + bound[r + 1]
-    width = max(bound).bit_length() // 8 + 1  # bytes per slot: 2**(8*width-1) > bound
+    width = slot_width(max(bound))
     w = 8 * width
     # shift[c + 1] is s_c.  A letter sets its column's shift to at least
     # s_mid - 1, so no shift falls below -len(letters): the borders' shift

@@ -8,22 +8,37 @@ integers.  Division is only provided as exact division, ``exact_div`` or
 ``//``, which raises ValueError if the divisor does not divide.
 
 Kronecker substitution packs a polynomial into one Python int: its value
-at t = 2**w, one w-bit slot per coefficient, w a multiple of 8.
+at t = 2**(8*width), one slot of width bytes per coefficient.
 ``kronecker_pack`` and ``kronecker_unpack`` are the one pair that packs a
-coefficient list and reads a packed int back as signed base-2**w digits.
-The read-back is exact whenever every coefficient lies strictly between
--2**(w-1) and 2**(w-1), so each caller picks w from an exact integer bound
-on its coefficients; no float is involved.  Products of two polynomials
-that both have more than ``SCHOOLBOOK_MAX`` terms are one multiplication
-of packed ints, with w from the bound min(terms) * max|f_i| * max|g_j| on
-the product's coefficients; the Burau product (burau.py) keeps its matrix
-entries packed.
+coefficient list and reads a packed int back as signed digits, exactly
+whenever every coefficient lies strictly between -2**(8*width-1) and
+2**(8*width-1); each caller passes an exact integer bound on its
+coefficients to ``slot_width``, and no float is involved.  That gives 1,
+2, 4 or 8 bytes where it can, since struct converts a whole list of
+two's-complement slots at those widths in C; flipping each slot's top bit
+adds 2**(8*width-1) to it.  Wider slots take a per-coefficient loop.
+Products of two polynomials that both have more than ``SCHOOLBOOK_MAX``
+terms are one packed multiplication, at the width of the bound
+min(terms) * max|f_i| * max|g_j| on their coefficients; the Burau product
+(burau.py) keeps its matrix entries packed.
+
+Exact division is one packed divmod, at the width of the larger of
+max|dividend| and max|divisor|, and one read-back.  A remainder proves it
+inexact.  Otherwise the quotient q read back has q(2**w) * divisor(2**w) =
+dividend(2**w), so q * divisor == dividend once every coefficient of that
+product, at most min(terms) * max|q_i| * max|divisor_j|, fits a slot.  If
+one does not, the width doubles, up to the width at which the true
+quotient would fit: a quotient of degree k has no coefficient above
+binom(k, k//2) times the 2-norm of the dividend (Mignotte 1974).
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
-from operator import add, neg, sub
+from functools import lru_cache
+from math import comb, isqrt
+from operator import add, mul, neg, sub
 from typing import Mapping, Sequence
 
 # Factors with at most this many terms are multiplied term by term.
@@ -62,8 +77,8 @@ class LaurentPolynomial:
                 end -= 1
             low, terms = (low + start, terms[start:end]) if start < end else (0, ())
         p = object.__new__(cls)
-        object.__setattr__(p, "low", low)
-        object.__setattr__(p, "terms", tuple(terms))
+        _set_low(p, low)
+        _set_terms(p, tuple(terms))
         return p
 
     def __setattr__(self, name, value):
@@ -174,30 +189,32 @@ class LaurentPolynomial:
 
     def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
         """Exact quotient self / divisor in Z[t, 1/t]; ValueError if inexact."""
-        g = divisor.terms
+        f, g = self.terms, divisor.terms
         if not g:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self.terms:
+        if not f:
             return ZERO
-        if len(self.terms) < len(g):
+        k = len(f) - len(g)  # the degree of the quotient
+        if k < 0:
             raise ValueError("division is not exact (degree too small)")
-        rem = list(self.terms)
-        q = [0] * (len(rem) - len(g) + 1)
-        glead = g[-1]
-        top = len(g) - 1
-        for i in range(len(q) - 1, -1, -1):
-            lead = rem[i + top]
-            if not lead:
-                continue
-            qi, r = divmod(lead, glead)
-            if r:
+        top = max(map(abs, g))
+        width = slot_width(max(max(map(abs, f)), top))
+        cap = None
+        while True:
+            packed, rem = divmod(kronecker_pack(f, width), kronecker_pack(g, width))
+            if rem:
+                raise ValueError("division is not exact (nonzero remainder)")
+            quotient = kronecker_unpack(packed, width, self.low - divisor.low)
+            # quotient * divisor == self if its coefficients fit the slots.
+            q = quotient.terms
+            if min(len(q), len(g)) * max(map(abs, q)) * top < 1 << (8 * width - 1):
+                return quotient
+            if cap is None:
+                norm = isqrt(sum(map(mul, f, f))) + 1  # above the 2-norm of self
+                cap = slot_width(min(k + 1, len(g)) * top * comb(k, k // 2) * norm)
+            if width >= cap:
                 raise ValueError("division is not exact over the integers")
-            q[i] = qi
-            for j, gc in enumerate(g, i):
-                rem[j] -= qi * gc
-        if any(rem[:top]):
-            raise ValueError("division is not exact (nonzero remainder)")
-        return LaurentPolynomial._dense(self.low - divisor.low, q)
+            width = min(2 * width, cap)
 
     __floordiv__ = exact_div
 
@@ -228,14 +245,30 @@ class LaurentPolynomial:
         return text
 
 
+# The slots' own setters, which bypass the immutability guard.
+_set_low = LaurentPolynomial.low.__set__
+_set_terms = LaurentPolynomial.terms.__set__
+
+
 def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...], low: int) -> LaurentPolynomial:
     """The product of the polynomials with dense coefficient tuples a and b,
     times t**low, by one big-integer multiplication."""
-    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-    width = bound.bit_length() // 8 + 1  # bytes per slot: 2**(8*width-1) > bound
+    width = slot_width(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
     return kronecker_unpack(kronecker_pack(a, width) * kronecker_pack(b, width), width, low)
 
 
+# Slot widths in bytes that struct converts a whole coefficient list at.
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def slot_width(bound: int) -> int:
+    """The least width in bytes, 1, 2, 4 or 8 where one will do, with
+    2**(8*width-1) > bound, for coefficients of absolute value at most bound."""
+    width = (bound.bit_length() + 8) // 8
+    return width if width > 8 else 1 << (width - 1).bit_length()
+
+
+@lru_cache(maxsize=256)
 def _halves(size: int, width: int) -> int:
     """2**(8*width-1) in each of size slots of width bytes."""
     return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * size, "little")
@@ -244,27 +277,38 @@ def _halves(size: int, width: int) -> int:
 def kronecker_pack(coeffs: Sequence[int], width: int) -> int:
     """sum(coeffs[i] * 2**(8*width*i)): the polynomial with these
     coefficients, lowest first, at t = 2**(8*width).  Every coefficient must
-    lie strictly between -2**(8*width-1) and 2**(8*width-1)."""
-    half = 1 << (8 * width - 1)
-    # Adding half to every slot makes each digit non-negative, so the packed
-    # integer can be built with int.from_bytes.
-    raised = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-    return int.from_bytes(raised, "little") - _halves(len(coeffs), width)
+    lie strictly between -2**(8*width-1) and 2**(8*width-1); OverflowError
+    otherwise."""
+    code = _STRUCT_CODES.get(width)
+    try:
+        if code:
+            twos = struct.pack(f"<{len(coeffs)}{code}", *coeffs)
+        else:
+            twos = b"".join([c.to_bytes(width, "little", signed=True) for c in coeffs])
+    except struct.error as error:
+        raise OverflowError(f"a coefficient does not fit {width}-byte slots") from error
+    # Flipping each slot's top bit gives its coefficient plus 2**(8*width-1).
+    halves = _halves(len(coeffs), width)
+    return (int.from_bytes(twos, "little") ^ halves) - halves
 
 
 def kronecker_unpack(value: int, width: int, low: int) -> LaurentPolynomial:
     """The polynomial sum(d_i * t**(low + i)) over the signed
     base-2**(8*width) digits d_i of value, each strictly between
     -2**(8*width-1) and 2**(8*width-1): the inverse of kronecker_pack."""
-    # k such digits with a nonzero top one make a value of 8*width*(k-1) to
-    # 8*width*k - 1 bits, so the bit length gives k.
-    size = value.bit_length() // (8 * width) + 1
-    half = 1 << (8 * width - 1)
-    digits = (value + _halves(size, width)).to_bytes(width * size, "little")
-    coeffs = [
-        int.from_bytes(digits[i : i + width], "little") - half
-        for i in range(0, width * size, width)
-    ]
+    # size such digits hold every value below 2**(8*width*size - 2) in
+    # magnitude, so the bit length gives enough of them; zero ends are trimmed.
+    size = (value.bit_length() + 1) // (8 * width) + 1
+    halves = _halves(size, width)
+    twos = ((value + halves) ^ halves).to_bytes(width * size, "little")
+    code = _STRUCT_CODES.get(width)
+    if code:
+        coeffs = struct.unpack(f"<{size}{code}", twos)
+    else:
+        coeffs = [
+            int.from_bytes(twos[i : i + width], "little", signed=True)
+            for i in range(0, width * size, width)
+        ]
     return LaurentPolynomial._dense(low, coeffs)
 
 

@@ -3,15 +3,16 @@ fraction-free determinant (Bareiss elimination), over Z and over
 Z[t, 1/t].  No floating point anywhere.
 
 The elimination works on sparse rows, {column: value} maps of the nonzero
-entries, and scales lazily.  After k steps an entry of a row whose
-pivot-column entry was zero at every step since step s is its value after
-step s times p_k / p_s, where p_k is the k-th pivot (p_0 = 1).  Both
-values are minors of the matrix, so this rescale, like every Bareiss
-quotient, is exact in any integral domain (E. H. Bareiss, Math. Comp.
-1968): // is floor division with no remainder in Z and the checked exact
-division in Z[t, 1/t].  Such a row is left as stored, with the step its
-values belong to, and rescaled only when a later step needs it, so a step
-costs only the rows that hold a nonzero in its pivot column.
+entries, and scales lazily, entry by entry.  With p_0 = 1 and p_(k+1) the
+pivot of step k, step k sets an entry below the pivot row to (a_ij
+p_(k+1) - a_ik a_kj) / p_k, just a_ij p_(k+1) / p_k where a_ik or a_kj is
+zero.  So each entry keeps the step s its value belongs to, and a step k
+that reads it (in the pivot row or column, or in a pivot-row column)
+rescales it by p_k / p_s.  The result is an entry of the Bareiss matrix, a
+minor of the input, so this division, like every Bareiss quotient, is
+exact in any integral domain (E. H. Bareiss, Math. Comp. 1968): // is floor
+division with no remainder in Z and the checked exact division in
+Z[t, 1/t].  A step touches only the pivot-row columns of the rows below.
 """
 
 from __future__ import annotations
@@ -39,13 +40,13 @@ def sparse_determinant(rows: list[dict[int, R]], one: R) -> R:
     ({column: value}, absent columns zero) over the ring with unit one, by
     fraction-free elimination in the given row and column order."""
     n = len(rows)
-    rows = [{j: v for j, v in r.items() if v} for r in rows]
+    # rows[i][j] is (value, s): the entry's value after step s.
+    rows = [{j: (v, 0) for j, v in r.items() if v} for r in rows]
     # holders[j]: the rows not yet used as pivot rows with a nonzero in column j
     holders: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
             holders[j].add(i)
-    stored_at = [0] * n  # the step whose values rows[i] holds
     pivots = [one]  # pivots[k]: the divisor of step k
     negate = False
     for k in range(n):
@@ -59,46 +60,39 @@ def sparse_determinant(rows: list[dict[int, R]], one: R) -> R:
             for j in rows[i]:
                 holders[j].discard(i)
             rows[k], rows[i] = rows[i], rows[k]
-            stored_at[k], stored_at[i] = stored_at[i], stored_at[k]
             for j in rows[k]:
                 holders[j].add(k)
             for j in rows[i]:
                 holders[j].add(i)
             negate = not negate
         prev = pivots[k]
-        pivot_row = _rescaled(rows[k], prev, pivots[stored_at[k]])
+        pivot_row = {j: v if s == k else v * prev // pivots[s] for j, (v, s) in rows[k].items()}
         pivot = pivot_row.pop(k)
         for j in pivot_row:
             holders[j].discard(k)
         below.discard(k)
         for i in below:
-            current = _rescaled(rows[i], prev, pivots[stored_at[i]])
-            factor = current[k]
-            row = {j: v * pivot for j, v in current.items() if j != k}
-            # Only pivot-row columns can gain or lose an entry.
+            row = rows[i]
+            factor, s = row.pop(k)
+            minus = -factor if s == k else -factor * prev // pivots[s]
+            # Only pivot-row columns change; the others stay as stored.
             for j, v in pivot_row.items():
-                if j in row:
-                    w = row[j] - factor * v
-                    if w:
-                        row[j] = w
-                    else:
-                        del row[j]
-                        holders[j].discard(i)
-                else:
-                    row[j] = -factor * v
+                entry = row.get(j)
+                if entry is None:
+                    row[j] = (minus * v // prev, k + 1)
                     holders[j].add(i)
-            rows[i] = {j: v // prev for j, v in row.items()}
-            stored_at[i] = k + 1
+                    continue
+                w, s = entry
+                if s != k:
+                    w = w * prev // pivots[s]
+                w = (w * pivot + minus * v) // prev
+                if w:
+                    row[j] = (w, k + 1)
+                else:
+                    del row[j]
+                    holders[j].discard(i)
         pivots.append(pivot)
     return -pivots[n] if negate else pivots[n]
-
-
-def _rescaled(row: dict[int, R], scale: R, stored_scale: R) -> dict[int, R]:
-    """The row's values after the step with divisor scale, from those after
-    the step with divisor stored_scale (an exact quotient of minors)."""
-    if scale == stored_scale:
-        return row
-    return {j: v * scale // stored_scale for j, v in row.items()}
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidlink.laurent import (
     ONE,
@@ -12,6 +14,7 @@ from braidlink.laurent import (
     geometric_sum,
     kronecker_pack,
     kronecker_unpack,
+    slot_width,
 )
 
 
@@ -70,6 +73,13 @@ def test_exact_division_rejects_inexact():
         poly({0: 1, 1: 1}).exact_div(poly({0: 2}))
     with pytest.raises(ValueError):
         poly({0: 1, 2: 1}).exact_div(poly({0: 1, 1: 1}))
+    # (t + 2) / 2: 2**w + 2 is even at every slot width w, but t / 2 is not
+    # an integer polynomial.
+    f, g = poly({0: 2, 1: 1}), poly({0: 2})
+    for width in (1, 2, 4, 8, 9):
+        assert kronecker_pack(f.terms, width) % kronecker_pack(g.terms, width) == 0
+    with pytest.raises(ValueError):
+        f.exact_div(g)
 
 
 def test_division_by_zero():
@@ -172,7 +182,7 @@ def test_product_coefficient_at_the_slot_bound(length, bits):
     assert p * -p == schoolbook_product(p, -p)
 
 
-@pytest.mark.parametrize("width", [1, 2, 9])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 9, 16])
 def test_pack_unpack_round_trip(width):
     top = 2 ** (8 * width - 1) - 1  # the extreme digits the slot holds
     for terms in (
@@ -190,12 +200,13 @@ def test_pack_unpack_round_trip(width):
         expected = LaurentPolynomial({i - 3: c for i, c in enumerate(terms)})
         assert kronecker_unpack(packed, width, -3) == expected
     assert kronecker_unpack(0, width, 5) == ZERO
-    with pytest.raises(OverflowError):
-        kronecker_pack([top + 1], width)
+    for digits in ([top + 1], [0, -top - 2], [1, 2**200, 3]):
+        with pytest.raises(OverflowError):
+            kronecker_pack(digits, width)
 
 
 @given(
-    st.sampled_from([1, 2, 9]).flatmap(
+    st.sampled_from([1, 2, 3, 4, 8, 9, 16]).flatmap(
         lambda width: st.tuples(
             st.just(width),
             st.lists(st.integers(min_value=1 - 2 ** (8 * width - 1),
@@ -208,6 +219,16 @@ def test_pack_unpack_round_trip_drawn(width_and_terms, low):
     width, terms = width_and_terms
     expected = LaurentPolynomial({low + i: c for i, c in enumerate(terms)})
     assert kronecker_unpack(kronecker_pack(terms, width), width, low) == expected
+
+
+@given(st.sampled_from([1, 2, 3, 4, 8, 9, 16]), st.integers(min_value=-(2**300), max_value=2**300))
+@example(1, 2**15 - 1)  # a top digit of 127 that needs one slot more than its bits
+@example(2, -(2**15))
+def test_unpack_reads_any_int_back(width, value):
+    """Any int, not only a packed one, reads back as digits whose value it is."""
+    p = kronecker_unpack(value, width, 0)
+    assert all(abs(c) <= 2 ** (8 * width - 1) for c in p.terms)
+    assert sum(c * 2 ** (8 * width * e) for e, c in p.to_pairs()) == value
 
 
 def test_product_with_cancelling_ends():
@@ -225,12 +246,49 @@ def test_packed_product_matches_schoolbook(p, q):
     assert p * q == schoolbook_product(p, q)
 
 
+def power(p, k):
+    return functools.reduce(operator.mul, [p] * k, ONE)
+
+
+@pytest.mark.parametrize("k", [5, 9, 17])
+def test_exact_division_widens_the_slot(k):
+    """((t+1)(t^3+1))^k / (t^2-t+1)^k = (t+1)^(2k), whose middle
+    coefficient needs a wider slot than any coefficient of either operand."""
+    f = power(poly({0: 1, 1: 1, 3: 1, 4: 1}), k)
+    g = power(poly({0: 1, 1: -1, 2: 1}), k)
+    q = power(poly({0: 1, 1: 1}), 2 * k)
+    assert slot_width(max(map(abs, q.terms))) > slot_width(max(map(abs, f.terms + g.terms)))
+    assert f.exact_div(g) == q
+    assert f.exact_div(q) == g
+
+
+def schoolbook_exact_div(p, q):
+    """Long division of p by q from the top term down: the oracle for the
+    packed exact division.  ValueError if q does not divide p."""
+    f, g = list(p.terms), q.terms
+    if not f:
+        return ZERO
+    if len(f) < len(g):
+        raise ValueError("division is not exact (degree too small)")
+    quotient = [0] * (len(f) - len(g) + 1)
+    for i in reversed(range(len(quotient))):
+        lead, r = divmod(f[i + len(g) - 1], g[-1])
+        if r:
+            raise ValueError("division is not exact over the integers")
+        quotient[i] = lead
+        for j, c in enumerate(g, i):
+            f[j] -= lead * c
+    if any(f):
+        raise ValueError("division is not exact (nonzero remainder)")
+    return LaurentPolynomial({p.low - q.low + i: c for i, c in enumerate(quotient)})
+
+
 @settings(max_examples=150)
 @given(dense_polys, dense_polys)
 def test_exact_division_round_trip_dense(p, q):
     f = p * q
-    assert f.exact_div(q) == p
-    assert f.exact_div(p) == q
+    assert f.exact_div(q) == schoolbook_exact_div(f, q) == p
+    assert f.exact_div(p) == schoolbook_exact_div(f, p) == q
 
 
 @settings(max_examples=150)
@@ -239,8 +297,9 @@ def test_exact_division_rejects_a_perturbed_product(p, q, exp):
     if len(q.terms) == 1 and abs(q.terms[0]) == 1:
         return  # a unit divides everything
     f = p * q + poly({exp: 1})
-    with pytest.raises(ValueError):
-        f.exact_div(q)
+    for divide in (LaurentPolynomial.exact_div, schoolbook_exact_div):
+        with pytest.raises(ValueError):
+            divide(f, q)
 
 
 @given(dense_polys)

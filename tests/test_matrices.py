@@ -187,20 +187,46 @@ def chain_needing_far_row_swap(n, diagonal, far, one=1):
     return rows
 
 
+def partly_stale_row(n, diagonal, far, one=1):
+    """A chain of rows 0..m-1 (m = n // 2 - 1), row m with nothing in its
+    own column, and row m+1 holding columns 0 and n-1.  Each chain step
+    fills row m+1 one column further right while its column-(n-1) entry
+    stays as stored, so that row is partly stale.  At step m it is the
+    first holder of column m and swaps in for the zero pivot, and the last
+    row, untouched until then, is eliminated against it."""
+    zero = one - one
+    m = n // 2 - 1
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(m):
+        rows[i][i], rows[i][i + 1] = diagonal, one
+    rows[m][m + 1], rows[m][n - 1] = one, far + far
+    rows[m + 1][0], rows[m + 1][n - 1] = one, far
+    for i in range(m + 2, n - 1):
+        rows[i][i - 1], rows[i][i] = one, diagonal
+    rows[n - 1][m], rows[n - 1][n - 1] = one, diagonal
+    return rows
+
+
 @pytest.mark.parametrize("n", [4, 9, 25])
 def test_lazily_scaled_row_swapped_in_for_a_zero_pivot(n):
-    """The row that replaces a zero pivot last changed many steps earlier."""
-    rows = chain_needing_far_row_swap(n, 3, 2)
-    assert dense_bareiss(rows, 1) != 0
-    assert bareiss_determinant_int(rows) == dense_bareiss(rows, 1)
+    """The row that replaces a zero pivot last changed many steps earlier,
+    or, partly stale, changed in some entries and not in another."""
+    for build in (chain_needing_far_row_swap, partly_stale_row):
+        rows = build(n, 3, 2)
+        assert dense_bareiss(rows, 1) != 0
+        assert bareiss_determinant_int(rows) == dense_bareiss(rows, 1)
+        if n == 4:
+            assert bareiss_determinant_int(rows) == naive_det(rows)
 
 
 @pytest.mark.parametrize("n", [4, 9, 25])
 def test_laurent_row_swapped_in_for_a_zero_pivot(n):
-    rows = chain_needing_far_row_swap(n, *LAURENT_CHAINS[0], ONE)
-    expected = dense_bareiss(rows, ONE)
-    assert expected
-    assert bareiss_determinant_laurent(rows) == expected
+    for build in (chain_needing_far_row_swap, partly_stale_row):
+        for diagonal, far in LAURENT_CHAINS:
+            rows = build(n, diagonal, far, ONE)
+            expected = dense_bareiss(rows, ONE)
+            assert expected
+            assert bareiss_determinant_laurent(rows) == expected
 
 
 def laurent_entry(rng):
