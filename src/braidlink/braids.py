@@ -39,48 +39,6 @@ class BraidWord:
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1..n}; images[i-1] is the image of i."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError("images do not form a permutation of 1..n")
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Function composition: (p * q)(i) = p(q(i))."""
-        if len(self.images) != len(other.images):
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self(other(i)) for i in range(1, len(self.images) + 1)))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Cycles as tuples, each starting at its least element, ordered by it."""
-        seen = [False] * len(self.images)
-        out = []
-        for start in range(1, len(self.images) + 1):
-            if seen[start - 1]:
-                continue
-            cycle = [start]
-            seen[start - 1] = True
-            j = self(start)
-            while j != start:
-                cycle.append(j)
-                seen[j - 1] = True
-                j = self(j)
-            out.append(tuple(cycle))
-        return tuple(out)
-
-
-@dataclass(frozen=True)
 class StrandComponentMap:
     """Assignment of closure components to strands.
 
@@ -244,11 +202,12 @@ def crossing_strands(word: BraidWord) -> list[tuple[int, int, int]]:
     return out
 
 
-def closure_permutation(word: BraidWord) -> Permutation:
-    """Strand permutation of the closure: strand s ends at position images[s-1].
+def closure_permutation(word: BraidWord) -> tuple[int, ...]:
+    """Strand permutation of the closure as its images: strand s ends at
+    position images[s-1].
 
-    Satisfies closure_permutation(concat(a, b)) == closure_permutation(b) *
-    closure_permutation(a) under the function-composition product.
+    The images of concat(a, b) are those of a followed by those of b:
+    image_ab[s-1] == image_b[image_a[s-1] - 1].
     """
     occ = list(range(1, word.strand_count + 1))
     for e in word.letters:
@@ -257,21 +216,40 @@ def closure_permutation(word: BraidWord) -> Permutation:
     images = [0] * word.strand_count
     for position, strand in enumerate(occ, start=1):
         images[strand - 1] = position
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
-def _components_from_permutation(perm: Permutation) -> StrandComponentMap:
-    cycles = perm.cycles()
-    component_of_strand = [0] * len(perm.images)
-    for cid, cycle in enumerate(cycles):
+def cycles(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Cycles of the permutation of 1..n with images[i-1] the image of i,
+    each starting at its least element, ordered by it."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(1, len(images) + 1):
+        if seen[start - 1]:
+            continue
+        cycle = [start]
+        seen[start - 1] = True
+        j = images[start - 1]
+        while j != start:
+            cycle.append(j)
+            seen[j - 1] = True
+            j = images[j - 1]
+        out.append(tuple(cycle))
+    return tuple(out)
+
+
+def _components_of(images: tuple[int, ...]) -> StrandComponentMap:
+    orbits = cycles(images)
+    component_of_strand = [0] * len(images)
+    for cid, cycle in enumerate(orbits):
         for strand in cycle:
             component_of_strand[strand - 1] = cid
-    return StrandComponentMap(tuple(component_of_strand), len(cycles))
+    return StrandComponentMap(tuple(component_of_strand), len(orbits))
 
 
 def components(word: BraidWord) -> StrandComponentMap:
     """Closure components: cycles of the closure permutation."""
-    return _components_from_permutation(closure_permutation(word))
+    return _components_of(closure_permutation(word))
 
 
 def components_of_antipodal_closure(half_word: BraidWord) -> StrandComponentMap:
@@ -282,9 +260,7 @@ def components_of_antipodal_closure(half_word: BraidWord) -> StrandComponentMap:
     covers this one.
     """
     n = half_word.strand_count
-    perm = closure_permutation(half_word)
-    flipped = Permutation(tuple(n + 1 - perm(i) for i in range(1, n + 1)))
-    return _components_from_permutation(flipped)
+    return _components_of(tuple(n + 1 - p for p in closure_permutation(half_word)))
 
 
 def linking_matrix(word: BraidWord) -> tuple[tuple[int, ...], ...]:

@@ -47,6 +47,13 @@ EXIT_USAGE = 2
 # rows grow with the strand count, so a few characters could ask for
 # gigabytes.  The library itself is unbounded.
 MAX_STRANDS = 1000
+# invariants refuses longer words: the Seifert order and the Burau spans grow
+# with the letter count, and the eliminations faster still.  On CPython 3.11
+# (2-core host) random signed words of 500 letters take up to 8 s, of 1000
+# letters 14 s at 10 strands, and positive words of 512 letters 121 s at 48
+# strands.  512 admits the 501-letter torus knot whose Alexander value at
+# 10^11 is too long to print.
+MAX_LETTERS = 512
 
 
 def _read_word(argument: str) -> BraidWord:
@@ -66,6 +73,9 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if word.strand_count > MAX_STRANDS:
         print(f"error: braid has more than {MAX_STRANDS} strands", file=sys.stderr)
+        return EXIT_USAGE
+    if len(word) > MAX_LETTERS:
+        print(f"error: braid has more than {MAX_LETTERS} letters", file=sys.stderr)
         return EXIT_USAGE
     points = tuple(args.alexander_at) if args.alexander_at else (-1,)
     if -1 not in points:

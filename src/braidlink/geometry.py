@@ -1,10 +1,14 @@
-"""Exact rational geometry of the bundled eight-line configuration.
+"""Exact geometry of the bundled eight-line configuration.
 
 The configuration lives in an affine chart (x, y, z) of projective 3-space:
 the vertical axis line L is the z-axis, the line at infinity L' is the
 common infinity line of the planes z = const, and the eight lines are two
 quarter-turn orbits of the lines through p0 = (3,-1,-1), q0 = (3,1,1).
-Everything is computed over the rationals; floating point never appears.
+
+The configuration data is integral: the points, the line directions and
+their projections are ints.  A Fraction arises only where a division does:
+the parameter and position of a crossing, a depth compared at a crossing,
+and the SVG clipping.  Floating point never appears.
 """
 
 from __future__ import annotations
@@ -12,14 +16,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-Rational = Fraction
+Rational = int | Fraction  # an int in the data, a Fraction where a division made it
 
 INFINITY_LABEL = "L'"
 DOUBLE_POINT_LABELS = ("p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3")
 
 Direction = tuple[int, int]
+Vector2 = tuple[Rational, Rational]
 
 
 @dataclass(frozen=True)
@@ -47,8 +52,7 @@ def rotate_quarter_turn(p: Point3) -> Point3:
 
 def base_points() -> dict[str, Point3]:
     """The eight genuine double points p0..p3, q0..q3."""
-    points = {"p0": Point3(Fraction(3), Fraction(-1), Fraction(-1)),
-              "q0": Point3(Fraction(3), Fraction(1), Fraction(1))}
+    points = {"p0": Point3(3, -1, -1), "q0": Point3(3, 1, 1)}
     for k in range(1, 4):
         points[f"p{k}"] = rotate_quarter_turn(points[f"p{k-1}"])
         points[f"q{k}"] = rotate_quarter_turn(points[f"q{k-1}"])
@@ -109,37 +113,43 @@ OXY = Projection("oxy", ("x", "y"), "z", 1, infinity_is_strand=True)
 OXZ = Projection("oxz", ("x", "z"), "y", -1, infinity_is_strand=False)
 
 
-def projection_named(name: str) -> Projection:
-    for projection in (OXY, OXZ):
-        if projection.name == name:
-            return projection
-    raise ValueError(f"unknown projection {name!r}")
+def projection_named(projection: Projection | str) -> Projection:
+    """The projection itself, or the bundled one of that name."""
+    if isinstance(projection, Projection):
+        return projection
+    for candidate in (OXY, OXZ):
+        if candidate.name == projection:
+            return candidate
+    raise ValueError(f"unknown projection {projection!r}")
+
+
+def cross(u: Vector2, v: Vector2) -> Rational:
+    """The plane cross product u x v: positive when v turns counterclockwise
+    from u, zero when they are parallel."""
+    return u[0] * v[1] - u[1] * v[0]
 
 
 @dataclass(frozen=True)
 class ProjectedLine:
     """Image of a space line base + t * direction in the drawing plane.
 
-    The one parametrisation: at parameter t the image point is
-    base + t * step and the space line lies at depth depth + t * depth_step
-    over it (base, step and the depths are the projection's coordinates of
-    the space line's base and direction).  The same points satisfy
-    normal . X = offset, and direction is the primitive integer step.
+    At parameter t the image point is base + t * step and the space line
+    lies at depth depth + t * depth_step over it: base, step and the depths
+    are the projection's coordinates of the space line's base and
+    direction.  Crossings, depths, the sweep's strand order and the SVG
+    segments all read this one parametrisation.
     """
 
     label: str
-    normal: tuple[int, int]
-    offset: int
-    direction: Direction
-    base: tuple[Rational, Rational]
-    step: tuple[Rational, Rational]
+    base: Vector2
+    step: Vector2
     depth: Rational
     depth_step: Rational
 
-    def point_at(self, t: Rational) -> tuple[Rational, Rational]:
+    def point_at(self, t: Rational) -> Vector2:
         return (self.base[0] + t * self.step[0], self.base[1] + t * self.step[1])
 
-    def depth_at(self, point: tuple[Rational, Rational]) -> Rational:
+    def depth_at(self, point: Vector2) -> Rational:
         """Depth of the space line over a drawing-plane point on it."""
         axis = 0 if self.step[0] != 0 else 1
         t = Fraction(point[axis] - self.base[axis], self.step[axis])
@@ -154,42 +164,32 @@ def half_turn_direction(d: Direction, start: Direction) -> tuple[Direction, tupl
     This is the one direction order of the arrangement: the crossing list
     is sorted by it from (1, 0) and the sweep scans by it from its start.
     """
-    cross = start[0] * d[1] - start[1] * d[0]
+    turn = cross(start, d)
     dot = start[0] * d[0] + start[1] * d[1]
-    if cross < 0 or (cross == 0 and dot < 0):
-        d, cross, dot = (-d[0], -d[1]), -cross, -dot
+    if turn < 0 or (turn == 0 and dot < 0):
+        d, turn, dot = (-d[0], -d[1]), -turn, -dot
     # -cot of the angle from start increases over (0, pi)
-    return d, ((0, 0) if cross == 0 else (1, Fraction(-dot, cross)))
+    return d, ((0, 0) if turn == 0 else (1, Fraction(-dot, turn)))
 
 
-def _primitive(a: Fraction | int, b: Fraction | int) -> tuple[int, int]:
-    fa, fb = Fraction(a), Fraction(b)
-    if fa == 0 and fb == 0:
+def upper_half_primitive(a: Rational, b: Rational) -> Direction:
+    """Primitive integer direction of (a, b) normalized modulo 180 degrees:
+    second component positive, or zero with the first positive."""
+    den = lcm(a.denominator, b.denominator)
+    ia, ib = int(a * den), int(b * den)
+    g = gcd(ia, ib)
+    if g == 0:
         raise ValueError("zero direction")
-    den = fa.denominator * fb.denominator // gcd(fa.denominator, fb.denominator)
-    ia, ib = int(fa * den), int(fb * den)
-    g = gcd(abs(ia), abs(ib))
-    return (ia // g, ib // g)
-
-
-def upper_half_primitive(a, b) -> Direction:
-    """Primitive integer direction normalized modulo 180 degrees: second
-    component positive, or zero with the first positive."""
-    return half_turn_direction(_primitive(a, b), (1, 0))[0]
+    return half_turn_direction((ia // g, ib // g), (1, 0))[0]
 
 
 def project_line(line: SpaceLine, projection: Projection) -> ProjectedLine:
-    b2 = projection.plane(line.base)
-    d2 = projection.plane(line.direction)
-    normal = _primitive(d2[1], -d2[0])
-    offset_frac = Fraction(normal[0]) * b2[0] + Fraction(normal[1]) * b2[1]
-    # scale normal so the offset is an integer (configuration data is integral)
-    if offset_frac.denominator != 1:
-        normal = (normal[0] * offset_frac.denominator, normal[1] * offset_frac.denominator)
-        offset_frac = offset_frac * offset_frac.denominator
     return ProjectedLine(
-        line.label, normal, int(offset_frac), _primitive(*d2), b2, d2,
-        projection.depth(line.base), projection.depth(line.direction),
+        line.label,
+        projection.plane(line.base),
+        projection.plane(line.direction),
+        projection.depth(line.base),
+        projection.depth(line.direction),
     )
 
 
@@ -199,30 +199,31 @@ def project_line(line: SpaceLine, projection: Projection) -> ProjectedLine:
 class CrossingEvent:
     """One event of a planar projection.
 
-    kind "finite": a transversal crossing (position set, two labels, over
-    and sign set) or a flagged double point of the space curve (sign and
-    over unset, double_point carrying its name).  kind "at_infinity": two
-    lines parallel in the projection meeting at infinity, a triple with the
+    kind "finite": a transversal crossing (position, two labels, sign and
+    positive_over set) or a flagged double point of the space curve (sign
+    unset, double_point carrying its name).  kind "at_infinity": two lines
+    parallel in the projection meeting at infinity, a triple with the
     infinity line where that line is a strand of the picture.
     """
 
     kind: str
     labels: tuple[str, ...]
     angle: Direction | None  # scan direction; None for a crossing at the origin
-    position: tuple[Rational, Rational] | None = None
-    over: str | None = None
+    position: Vector2 | None = None
     sign: int | None = None
     double_point: str | None = None
     positive_over: str | None = None  # which label is over if resolved positively
 
-
-def _intersect(a: ProjectedLine, b: ProjectedLine) -> tuple[Rational, Rational] | None:
-    det = a.normal[0] * b.normal[1] - a.normal[1] * b.normal[0]
-    if det == 0:
-        return None
-    x = Fraction(a.offset * b.normal[1] - b.offset * a.normal[1], det)
-    y = Fraction(a.normal[0] * b.offset - b.normal[0] * a.offset, det)
-    return (x, y)
+    @property
+    def over(self) -> str | None:
+        """The over strand's label: positive_over at a positive crossing,
+        the other label at a negative one, None while the sign is unset."""
+        if self.sign is None:
+            return None
+        if self.sign > 0:
+            return self.positive_over
+        a, b = self.labels
+        return b if self.positive_over == a else a
 
 
 def project_crossings(
@@ -235,8 +236,7 @@ def project_crossings(
     Projected-parallel pairs give at-infinity events; in the Oxy picture the
     line at infinity is a strand and those events are triple crossings.
     """
-    if isinstance(projection, str):
-        projection = projection_named(projection)
+    projection = projection_named(projection)
     return crossings_of([project_line(line, projection) for line in lines], projection)
 
 
@@ -250,32 +250,34 @@ def crossings_of(
     for i, a in enumerate(projected):
         for b in projected[i + 1:]:
             labels = (a.label, b.label)
-            position = _intersect(a, b)
-            if position is None:
+            det = cross(a.step, b.step)
+            if det == 0:
                 if projection.infinity_is_strand:
                     labels += (INFINITY_LABEL,)
                 events.append(
-                    CrossingEvent("at_infinity", labels, upper_half_primitive(*a.direction))
+                    CrossingEvent("at_infinity", labels, upper_half_primitive(*a.step))
                 )
                 continue
+            # the crossing is a.point_at(t) == b.point_at(u)
+            gap = (b.base[0] - a.base[0], b.base[1] - a.base[1])
+            t, u = Fraction(cross(gap, b.step), det), Fraction(cross(gap, a.step), det)
+            position = a.point_at(t)
             angle = None if position == (0, 0) else upper_half_primitive(*position)
             # a crossing is positive exactly when this line is the over one
-            det = a.direction[0] * b.direction[1] - a.direction[1] * b.direction[0]
             positive_over = a.label if det > 0 else b.label
-            depth_a, depth_b = a.depth_at(position), b.depth_at(position)
+            depth_a, depth_b = a.depth + t * a.depth_step, b.depth + u * b.depth_step
+            sign = name = None
             if depth_a == depth_b:
                 name = double_points.get(position)
                 if name is None:
                     raise RuntimeError(
                         f"unexpected spatial intersection of {a.label} and {b.label}"
                     )
-                event = CrossingEvent("finite", labels, angle, position,
-                                      double_point=name, positive_over=positive_over)
             else:
-                over = a.label if depth_a > depth_b else b.label
-                event = CrossingEvent("finite", labels, angle, position,
-                                      over=over, sign=1 if over == positive_over else -1)
-            events.append(event)
+                sign = 1 if (depth_a > depth_b) == (det > 0) else -1
+            events.append(
+                CrossingEvent("finite", labels, angle, position, sign, name, positive_over)
+            )
     events.sort(key=_event_sort_key)
     return events
 
@@ -283,7 +285,7 @@ def crossings_of(
 def _event_sort_key(event: CrossingEvent):
     # the origin crossing first, then by angle from (1, 0)
     slope = (-1,) if event.angle is None else half_turn_direction(event.angle, (1, 0))[1]
-    pos = event.position if event.position is not None else (Fraction(0), Fraction(0))
+    pos = event.position if event.position is not None else (0, 0)
     return (slope, 0 if event.kind == "finite" else 1, pos, event.labels)
 
 
@@ -345,38 +347,30 @@ def apply_smoothing(
             out.append(event)
             continue
         resolution = choice.resolution[event.double_point]
-        if resolution == SMOOTHED:
-            continue
-        a_label, b_label = event.labels
-        if resolution == CROSSING_POSITIVE:
-            over = event.positive_over
-        else:
-            over = b_label if event.positive_over == a_label else a_label
-        out.append(replace(event, over=over, sign=resolution))
+        if resolution != SMOOTHED:
+            out.append(replace(event, sign=resolution))
     return out
 
 
 # -- serialization -------------------------------------------------------------
 
-def event_json_dict(event: CrossingEvent) -> dict:
-    return {
-        "kind": event.kind,
-        "labels": list(event.labels),
-        "angle": None if event.angle is None else [event.angle[0], event.angle[1]],
-        "position": None
-        if event.position is None
-        else [str(event.position[0]), str(event.position[1])],
-        "over": event.over,
-        "sign": event.sign,
-        "double_point": event.double_point,
-    }
-
-
 def crossings_json(events: list[CrossingEvent], projection: Projection | str) -> str:
-    name = projection if isinstance(projection, str) else projection.name
     payload = {
         "schema": "braidlink/crossings/1",
-        "projection": name,
-        "events": [event_json_dict(e) for e in events],
+        "projection": projection_named(projection).name,
+        "events": [
+            {
+                "kind": event.kind,
+                "labels": list(event.labels),
+                "angle": None if event.angle is None else list(event.angle),
+                "position": None
+                if event.position is None
+                else [str(coordinate) for coordinate in event.position],
+                "over": event.over,
+                "sign": event.sign,
+                "double_point": event.double_point,
+            }
+            for event in events
+        ],
     }
     return json.dumps(payload, indent=2)

@@ -2,10 +2,15 @@
 
 Each line is drawn in two tones split where the projection's depth-axis
 coordinate changes sign (black positive, grey negative: z for the Oxy
-picture, y for Oxz).  Crossings show the under strand interrupted by a white casing under
-the over strand; unresolved or smoothed double points are marked with a
-small circle.  The viewport is fixed to [-7, 7]^2, so output bytes are a
-deterministic function of the input.
+picture, y for Oxz).  Crossings show the under strand interrupted by a
+white casing under the over strand; unresolved or smoothed double points
+are marked with a small circle.  The viewport is fixed to [-7, 7]^2, so
+output bytes are a deterministic function of the input.
+
+The drawing is computed exactly: the clip parameters, the cut where the
+depth changes sign and the casing ends are Fractions of the lines'
+integral data, and only the output formatting (_svg_coords and the canvas
+size) converts to float.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ def _line_segments(line: ProjectedLine, depth_sign: int) -> list[tuple[str, tupl
         return []
     cuts = [lo, hi]
     if line.depth_step != 0:
-        t_zero = -line.depth / line.depth_step
+        t_zero = Fraction(-line.depth, line.depth_step)
         if lo < t_zero < hi:
             cuts.insert(1, t_zero)
     # the depth is linear in t, so a piece has the sign of its midpoint
@@ -80,8 +85,7 @@ def emit_projection_svg(
     projection: Projection | str,
     smoothing: SmoothingChoice | None = None,
 ) -> str:
-    if isinstance(projection, str):
-        projection = projection_named(projection)
+    projection = projection_named(projection)
     projected = {line.label: project_line(line, projection) for line in lines}
     events = crossings_of(list(projected.values()), projection)
     if smoothing is not None:
@@ -116,15 +120,11 @@ def emit_projection_svg(
                 f'r="5" fill="#ffffff" stroke="#555555" stroke-dasharray="2,2"/>'
             )
             continue
-        over_label = event.over
-        if over_label is None:
-            continue
-        over = projected[over_label]
-        d = over.direction
-        norm = max(abs(d[0]), abs(d[1]))
-        ux, uy = Fraction(d[0], norm), Fraction(d[1], norm)
-        a = (event.position[0] - ux * gap, event.position[1] - uy * gap)
-        b = (event.position[0] + ux * gap, event.position[1] + uy * gap)
+        over = projected[event.over]
+        ux, uy = over.step
+        scale = Fraction(gap, max(abs(ux), abs(uy)))
+        a = (event.position[0] - ux * scale, event.position[1] - uy * scale)
+        b = (event.position[0] + ux * scale, event.position[1] + uy * scale)
         # the tone follows the depth axis coordinate itself, not the depth
         tone = _tone(projection.depth_sign * over.depth_at(event.position))
         out.append(

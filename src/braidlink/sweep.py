@@ -34,6 +34,7 @@ from .geometry import (
     Direction,
     ProjectedLine,
     SpaceLine,
+    cross,
     half_turn_direction,
     project_line,
 )
@@ -50,17 +51,17 @@ def strand_order(
     reaches the given direction, ordered from the origin cut: positive ray
     outward, infinity, negative ray inward.
 
-    The sorting key is w = -(n . u)/c per line (w = 0 for the infinity
-    strand), perturbed clockwise for the tie-break at event directions.
+    A line base + t * step meets the ray s * direction at
+    s = cross(base, step) / cross(direction, step).  The sorting key is
+    w = -1/s per line (w = 0 for the infinity strand), perturbed clockwise
+    for the tie-break at event directions.
     """
     clockwise = (direction[1], -direction[0])
-    keyed: list[tuple[tuple[Fraction, Fraction], str]] = [
-        ((Fraction(0), Fraction(0)), INFINITY_LABEL)
-    ]
+    keyed = [((0, 0), INFINITY_LABEL)]
     for line in projected:
-        n, c = line.normal, line.offset
-        w = Fraction(-(n[0] * direction[0] + n[1] * direction[1]), c)
-        w_tie = Fraction(-(n[0] * clockwise[0] + n[1] * clockwise[1]), c)
+        moment = cross(line.base, line.step)
+        w = Fraction(-cross(direction, line.step), moment)
+        w_tie = Fraction(-cross(clockwise, line.step), moment)
         keyed.append(((w, w_tie), line.label))
     keyed.sort()
     return [label for _, label in keyed]
@@ -82,8 +83,8 @@ def sweep_half_turn(
     # scanning line (the strand order at -d is the reverse of that at d)
     groups: dict[tuple[tuple, Direction], list[CrossingEvent]] = {}
     for event in events:
-        if event.double_point is not None and event.sign is None:
-            raise SweepError("unresolved double point; apply a smoothing first")
+        if event.kind == "finite" and event.sign is None:
+            raise SweepError("unsigned crossing or double point; apply a smoothing first")
         if event.angle is None:
             raise SweepError("event at the scan origin cannot be swept")
         rep, key = half_turn_direction(event.angle, start)
@@ -115,8 +116,6 @@ def sweep_half_turn(
                     )
                 staged.append((low, [low, low + 1, low]))
             else:
-                if event.sign is None:
-                    raise SweepError("finite crossing without a sign")
                 staged.append((low, [event.sign * low]))
         for _, contribution in sorted(staged):
             letters.extend(contribution)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidlink.braids import BraidParseError, BraidWord, parse_braid
-from braidlink.cli import main, run_paper_checks
+from braidlink.cli import MAX_LETTERS, main, run_paper_checks
 from braidlink.fixtures import reference_braids
 
 
@@ -220,12 +220,14 @@ FUZZ_OPTIONS = {
                   ["--smoothing", "all-positive"], ["--emit", "braid"],
                   ["--emit", "crossings"], ["--emit", "svg"]],
 }
-# braid texts stay at n <= 6 or go past the strand limit, which main refuses
-# at once
+# braid texts stay at n <= 6 or go past the strand or letter limit, which
+# main refuses at once
 OVER_LIMIT = ["B1001 1", "9" * 40]
+# one letter over the limit, and 16,000 letters, which would run for minutes
+OVER_LETTER_LIMIT = ["B3 " + "1 " * (MAX_LETTERS + 1), "B3 " + "1 -2 " * 8000]
 FUZZ_WORDS = [
     "B1", "B2 1 1 1", "B3 1 -2 1 -2", "B4 1 3", "B6 5 -5 1", "1 1 1", "B3 7", "zz", "",
-    *OVER_LIMIT,
+    *OVER_LIMIT, *OVER_LETTER_LIMIT,
 ]
 FUZZ_STRAYS = [
     *FUZZ_OPTIONS, "--json", "--alexander-at", "--variant", "--projection", "--smoothing",
@@ -281,6 +283,24 @@ def test_strand_limit_admits_its_bound(capsys):
     code, out, _ = run(capsys, "invariants", "B1000 1")
     assert code == 0
     assert "components:   999" in out
+
+
+@pytest.mark.parametrize("source", ["argv", "stdin"])
+@pytest.mark.parametrize("text", OVER_LETTER_LIMIT, ids=["one-over", "16000"])
+def test_letter_limit_exits_2_at_once(capsys, monkeypatch, source, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, "invariants", "-" if source == "stdin" else text)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: braid has more than {MAX_LETTERS} letters\n"
+
+
+def test_letter_limit_admits_its_bound(capsys):
+    # the (2, MAX_LETTERS) torus link: two components, determinant MAX_LETTERS
+    code, out, _ = run(capsys, "invariants", "B2 " + "1 " * MAX_LETTERS)
+    assert code == 0
+    assert "components:   2" in out
+    assert f"determinant:  {MAX_LETTERS}" in out
 
 
 AXIS_TEXT = (

@@ -18,6 +18,8 @@ from braidlink.geometry import (
     Point3,
     SpaceLine,
 )
+from braidlink.svg import _line_segments, emit_projection_svg
+from braidlink.sweep import sweep_full_turn
 
 
 def rotate_line(line, new_label):
@@ -98,8 +100,8 @@ def test_quarter_turn_symmetry_with_label_shift():
 def test_oxy_projection_of_l0_is_vertical():
     line = project_line(lines_by_label()["l0"], OXY)
     # x = 3 in the drawing plane
-    assert line.normal[1] == 0
-    assert Fraction(line.offset, line.normal[0]) == 3
+    assert line.base[0] == 3
+    assert line.step[0] == 0 and line.step[1] != 0
 
 
 def test_oxy_crossing_census():
@@ -216,3 +218,60 @@ def test_crossings_json_round_trip():
         if event["position"] is not None:
             for coordinate in event["position"]:
                 assert isinstance(coordinate, str)
+
+
+# -- the arrangement is exact and independent of the line parametrisation -----
+
+def reparametrised(line):
+    """The same oriented line with its base moved by a third of its
+    direction and its direction halved, so its data are Fractions."""
+    b, d = line.base, line.direction
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    return SpaceLine(
+        line.label,
+        Point3(b.x + third * d.x, b.y + third * d.y, b.z + third * d.z),
+        Point3(half * d.x, half * d.y, half * d.z),
+    )
+
+
+SMOOTHINGS = (None, SmoothingChoice.paper(), SmoothingChoice.all_positive())
+
+
+@pytest.mark.parametrize("projection", ["oxy", "oxz"])
+def test_arrangement_does_not_depend_on_the_parametrisation(projection):
+    lines = build_configuration()
+    moved = tuple(reparametrised(line) for line in lines)
+    assert project_crossings(moved, projection) == project_crossings(lines, projection)
+    for smoothing in SMOOTHINGS:
+        assert emit_projection_svg(moved, projection, smoothing) == emit_projection_svg(
+            lines, projection, smoothing
+        )
+    if projection == "oxy":
+        events = apply_smoothing(project_crossings(lines, OXY), SmoothingChoice.paper())
+        assert sweep_full_turn(moved, events) == sweep_full_turn(lines, events)
+
+
+def assert_exact(*values):
+    for value in values:
+        assert type(value) in (int, Fraction), f"{value!r} is not exact"
+
+
+@pytest.mark.parametrize("projection", [OXY, OXZ], ids=["oxy", "oxz"])
+@pytest.mark.parametrize("moved", [False, True], ids=["integral", "fraction"])
+def test_arrangement_values_are_exact(projection, moved):
+    # Only the SVG's output formatting may turn a value into a float.
+    lines = build_configuration()
+    if moved:
+        lines = tuple(reparametrised(line) for line in lines)
+    for line in lines:
+        projected = project_line(line, projection)
+        assert_exact(*projected.base, *projected.step, projected.depth, projected.depth_step)
+        segments = _line_segments(projected, projection.depth_sign)
+        assert segments
+        for _, start, end in segments:
+            assert_exact(*start, *end)
+    events = project_crossings(lines, projection)
+    for smoothing in SMOOTHINGS[1:]:
+        for event in [*events, *apply_smoothing(events, smoothing)]:
+            if event.position is not None:
+                assert_exact(*event.position)

@@ -159,8 +159,11 @@ def test_coefficients_above_two_to_the_64():
     assert (p * q).exact_div(q) == p
 
 
-@pytest.mark.parametrize("m", [1, SCHOOLBOOK_MAX, SCHOOLBOOK_MAX + 1, 3 * SCHOOLBOOK_MAX])
-@pytest.mark.parametrize("n", [SCHOOLBOOK_MAX, SCHOOLBOOK_MAX + 1, 40])
+# Lengths on both sides of the cutoff, and fixed lengths well past it.
+@pytest.mark.parametrize(
+    "m", sorted({1, SCHOOLBOOK_MAX, SCHOOLBOOK_MAX + 1, 3 * SCHOOLBOOK_MAX, 16, 17, 48})
+)
+@pytest.mark.parametrize("n", sorted({SCHOOLBOOK_MAX, SCHOOLBOOK_MAX + 1, 16, 17, 40}))
 def test_lengths_around_the_schoolbook_cutoff(m, n):
     p = poly({-2 + i: (-1) ** i * (i + 1) ** 9 for i in range(m)})
     q = poly({-5 + i: (-3) ** (i % 7) - 2**70 * (i % 2) for i in range(n)})
