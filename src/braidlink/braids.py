@@ -151,16 +151,6 @@ def invert(word: BraidWord) -> BraidWord:
     return BraidWord(word.strand_count, tuple(-e for e in reversed(word.letters)))
 
 
-def free_reduce(word: BraidWord) -> BraidWord:
-    stack: list[int] = []
-    for e in word.letters:
-        if stack and stack[-1] == -e:
-            stack.pop()
-        else:
-            stack.append(e)
-    return BraidWord(word.strand_count, tuple(stack))
-
-
 def tau(word: BraidWord) -> BraidWord:
     """The flip automorphism sigma_i -> sigma_(n-i), preserving letter signs."""
     n = word.strand_count

@@ -20,7 +20,8 @@ adds 2**(8*width-1) to it.  Wider slots take a per-coefficient loop.
 Products of two polynomials that both have more than ``SCHOOLBOOK_MAX``
 terms are one packed multiplication, at the width of the bound
 min(terms) * max|f_i| * max|g_j| on their coefficients; the Burau product
-(burau.py) keeps its matrix entries packed.
+(burau.py) keeps its matrix entries packed, and det(B - I) is taken at one
+packed point wherever a Hadamard bound certifies a slot of at most 4 bytes.
 
 Exact division is one packed divmod, at the width of the larger of
 max|dividend| and max|divisor|, and one read-back.  A remainder proves it

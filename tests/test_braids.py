@@ -13,7 +13,6 @@ from braidlink.braids import (
     crossing_strands,
     cycles,
     exponent_sum,
-    free_reduce,
     invert,
     linking_matrix,
     parse_braid,
@@ -21,6 +20,17 @@ from braidlink.braids import (
     tau,
 )
 from strategies import braid_words
+
+
+def free_reduce(word: BraidWord) -> BraidWord:
+    """The word with every adjacent pair e, -e cancelled."""
+    stack: list[int] = []
+    for e in word.letters:
+        if stack and stack[-1] == -e:
+            stack.pop()
+        else:
+            stack.append(e)
+    return BraidWord(word.strand_count, tuple(stack))
 
 
 # -- construction and parsing ------------------------------------------------

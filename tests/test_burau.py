@@ -5,12 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from braidlink.braids import BraidWord, concat, invert
 from braidlink.burau import (
+    PACKED_MAX,
+    _certified_width,
+    _determinant,
     alexander_polynomial,
     burau_reduced,
     determinant_from_burau,
 )
-from braidlink.laurent import ONE, ZERO, LaurentPolynomial
+from braidlink.fixtures import reference_braids
+from braidlink.laurent import ONE, ZERO, LaurentPolynomial, geometric_sum
 from strategies import braid_words
+from test_matrices import dense_bareiss
 
 
 def burau_multiply(a, b):
@@ -189,3 +194,96 @@ def test_normalization_invariant_under_markov_one(w):
 
     g = BraidWord(w.strand_count, (1,) if w.strand_count > 1 else ())
     assert alexander_polynomial(conjugate(w, g)) == alexander_polynomial(w)
+
+
+# -- one packed point ---------------------------------------------------------
+
+def shifted_burau(word):
+    """dense_burau(word) - I, one list per row; no rows for one strand."""
+    m = dense_burau(word) if word.strand_count > 1 else ()
+    return [[p - ONE if i == j else p for j, p in enumerate(row)] for i, row in enumerate(m)]
+
+
+def laurent_alexander(word):
+    """The Laurent oracle: dense_bareiss of dense_burau(word) - I, divided
+    exactly by the geometric sum, lowest exponent 0, leading coefficient > 0."""
+    p = dense_bareiss(shifted_burau(word), ONE).exact_div(geometric_sum(word.strand_count))
+    if p.is_zero:
+        return p
+    p = p.shifted(-p.min_exp)
+    return -p if p.coefficient(p.max_exp) < 0 else p
+
+
+@st.composite
+def oracle_words(draw):
+    """Words on 1 to 10 strands with at most 80 letters: signed, all
+    inverse (negative column shifts), or missing a generator (split)."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    kind = draw(st.sampled_from(("signed", "inverse", "split")))
+    generators = list(range(1, n))
+    if kind == "split" and n > 2:
+        generators.remove(draw(st.sampled_from(generators)))
+    if not generators:
+        return BraidWord(n, ()), kind
+    signs = (-1,) if kind == "inverse" else (1, -1)
+    letter = st.tuples(st.sampled_from(generators), st.sampled_from(signs))
+    letters = draw(st.lists(letter, max_size=80))
+    return BraidWord(n, tuple(i * s for i, s in letters)), kind
+
+
+@settings(deadline=None, max_examples=60)
+@given(oracle_words())
+def test_alexander_matches_laurent_oracle(drawn):
+    w, kind = drawn
+    p = alexander_polynomial(w)
+    assert p == laurent_alexander(w)
+    if kind == "split" and w.strand_count > 2:
+        assert p == ZERO
+
+
+@pytest.mark.parametrize(
+    "repeats, width", [(2, 1), (4, 2), (6, 4), (12, 8), (24, 9)], ids=lambda v: str(v)
+)
+def test_alexander_on_both_sides_of_the_cutoff(repeats, width):
+    w = BraidWord(3, (1, -2) * repeats)
+    assert _certified_width([dict(enumerate(row)) for row in shifted_burau(w)]) == width
+    assert alexander_polynomial(w) == laurent_alexander(w)
+
+
+def certificate_holds(word):
+    rows = shifted_burau(word)
+    width = _certified_width([dict(enumerate(row)) for row in rows])
+    det = dense_bareiss(rows, ONE)
+    assert all(abs(c) < 1 << (8 * width - 1) for c in det.terms)
+    return width
+
+
+@settings(deadline=None, max_examples=60)
+@given(braid_words(max_strands=10, max_len=80))
+def test_determinant_fits_the_certified_width(w):
+    certificate_holds(w)
+
+
+@pytest.mark.parametrize(
+    "name", ["axis", "infinity", "axis_all_positive", "infinity_all_positive"]
+)
+def test_reference_braids_take_the_packed_route(name):
+    assert certificate_holds(getattr(reference_braids(), name)) <= PACKED_MAX
+
+
+SYLVESTER_4 = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+
+
+@pytest.mark.parametrize("scale, width", [(1, 1), (6, 2), (107, 4), (108, 8)])
+def test_packed_determinant_exact_at_the_certificate_edge(scale, width):
+    # scale * H t**(r_i + k_j) for a Hadamard matrix H meets Hadamard's bound:
+    # its determinant is 16 * scale**4 t**(sum r + sum k), just inside the slot.
+    r, k = (0, -3, 2, 5), (-1, 4, 0, -9)
+    rows = [
+        {j: LaurentPolynomial({r[i] + k[j]: scale * h}) for j, h in enumerate(signs)}
+        for i, signs in enumerate(SYLVESTER_4)
+    ]
+    assert _certified_width(rows) == width
+    det = _determinant(rows)
+    assert det == LaurentPolynomial({-2: 16 * scale**4})
+    assert det == dense_bareiss([[row[j] for j in range(4)] for row in rows], ONE)
