@@ -40,7 +40,9 @@ as the determinant.  The integer minors it passes through are about as wide
 as the slot times the span of the determinant, so on wide slots their
 products cost more than the many small operations of the Laurent
 elimination; past PACKED_MAX bytes the rows go to sparse_determinant over
-Z[t, 1/t] instead.
+Z[t, 1/t] instead.  A zero row, which some split closures give, makes
+S = 0 and the determinant 0 outright; the other entries of such a matrix
+need not fit the one-byte slot isqrt(0) + 1 would give, so nothing is packed.
 """
 
 from __future__ import annotations
@@ -119,17 +121,20 @@ def burau_reduced(word: BraidWord) -> tuple[tuple[LaurentPolynomial, ...], ...]:
 def _certified_width(rows: list[dict[int, LaurentPolynomial]]) -> int:
     """A slot width in bytes that holds every coefficient of the determinant
     of the matrix with these sparse rows: slot_width of isqrt(S) + 1, with
-    S = prod_i sum_j ||a_ij||_1**2 the Hadamard certificate."""
+    S = prod_i sum_j ||a_ij||_1**2 the Hadamard certificate, and 0 when
+    S = 0, where a row and the determinant are zero."""
     certificate = 1
     for row in rows:
         certificate *= sum(sum(map(abs, p.terms)) ** 2 for p in row.values())
-    return slot_width(isqrt(certificate) + 1)
+    return slot_width(isqrt(certificate) + 1) if certificate else 0
 
 
 def _determinant(rows: list[dict[int, LaurentPolynomial]]) -> LaurentPolynomial:
     """Determinant of the matrix over Z[t, 1/t] with these sparse rows: at
     one packed point when its certified width is at most PACKED_MAX bytes."""
     width = _certified_width(rows)
+    if not width:
+        return ZERO
     if width > PACKED_MAX:
         return sparse_determinant(rows, ONE)
     # Column j is divided by t**low[j], its least exponent, so every entry

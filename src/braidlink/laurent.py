@@ -318,7 +318,6 @@ def kronecker_unpack(value: int, width: int, low: int) -> LaurentPolynomial:
 
 ZERO = LaurentPolynomial()
 ONE = LaurentPolynomial({0: 1})
-T = LaurentPolynomial({1: 1})
 
 
 def geometric_sum(n: int) -> LaurentPolynomial:

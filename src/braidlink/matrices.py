@@ -110,14 +110,6 @@ class IntegerMatrix:
                 if not isinstance(v, int):
                     raise TypeError("entries must be int")
 
-    @staticmethod
-    def from_rows(rows) -> "IntegerMatrix":
-        return IntegerMatrix(tuple(tuple(int(v) for v in r) for r in rows))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0

@@ -20,25 +20,18 @@ is validated against the independent Burau route by the test suite:
   stacking alternates the surface coorientation from disk to disk);
 * all other pairs: 0 (nested or disjoint intervals, distant columns).
 
-Loops are ordered column-major (by column, then by occurrence), so V is
-deterministic.  A column with no letters splits the closed-braid diagram;
-the symmetrized determinant of a split closure is 0 regardless of V.
-
-The basis order and the elimination order differ.  V + V^T has at most
-six off-diagonal nonzeros per row: a loop pairs with its two neighbours in
-its own column and, in each adjacent column, only with the loops that
-contain one of its two end crossings.  symmetrized_determinant eliminates
-the loops in the order of their first crossing along the word (the same
-permutation on rows and columns, so the determinant is unchanged).  In
-that order the loops still holding entries at any step are those open at
-the sweep position, about one per column, so sparse Bareiss elimination
-fills about n - 1 entries per row rather than the m of the column-major
-order, where a column's loops reach across the whole word.
+Loops are numbered in the order they open along the word, which is the
+order symmetrized_determinant eliminates in: V + V^T has at most six
+off-diagonal nonzeros per row, and the loops still holding entries at any
+step are those open at that word position, about one per column, so sparse
+Bareiss elimination fills about n - 1 entries per row rather than the m of
+a column-major order, where a column's loops reach across the whole word.
+A column with no letters splits the closed-braid diagram; the symmetrized
+determinant of a split closure is 0 regardless of V.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .braids import BraidWord
@@ -47,94 +40,77 @@ from .matrices import IntegerMatrix, sparse_determinant
 
 @dataclass(frozen=True)
 class SeifertData:
-    """Seifert matrix with its generator-loop bookkeeping.
+    """Seifert matrix of the band surface.
 
-    basis_loops[k] = (column, ordinal) of the k-th generator loop; entries
-    holds (row, column, value) for each nonzero entry of V in that basis;
-    sweep_order lists the basis indices by the word position of each loop's
-    first crossing; split is True when some column between occupied strands
-    carries no letter, i.e. the closure is a split diagram.
+    order is the number of generator loops, numbered in the order they open
+    along the word; entries holds (row, column, value) for each nonzero
+    entry of V in that basis; split is True when some column between
+    occupied strands carries no letter, i.e. the closure is a split diagram.
     """
 
-    basis_loops: tuple[tuple[int, int], ...]
+    order: int
     entries: tuple[tuple[int, int, int], ...]
-    sweep_order: tuple[int, ...]
     split: bool
 
     @property
     def matrix(self) -> IntegerMatrix:
-        """V as a dense matrix in the column-major basis."""
-        m = len(self.basis_loops)
-        v = [[0] * m for _ in range(m)]
+        """V as a dense matrix."""
+        v = [[0] * self.order for _ in range(self.order)]
         for a, b, value in self.entries:
             v[a][b] = value
-        return IntegerMatrix.from_rows(v)
+        return IntegerMatrix(tuple(map(tuple, v)))
 
 
 def seifert_matrix(word: BraidWord) -> SeifertData:
     n = word.strand_count
-    # positions[i], signs[i]: word positions and signs of the column-i letters
-    positions: dict[int, list[int]] = {i: [] for i in range(1, n)}
-    signs: dict[int, list[int]] = {i: [] for i in range(1, n)}
-    for pos, e in enumerate(word.letters):
-        positions[abs(e)].append(pos)
-        signs[abs(e)].append(1 if e > 0 else -1)
-    split = n >= 2 and any(not positions[i] for i in range(1, n))
+    # left[i]: the column-i letters not yet passed; a letter opens a loop
+    # only if a later letter of its column closes it.
+    left = [0] * (n + 1)
+    for e in word.letters:
+        left[abs(e)] += 1
+    split = n >= 2 and not all(left[1:n])
 
-    # first[i]: basis index of column i's first loop; loop first[i] + j runs
-    # from positions[i][j] to positions[i][j + 1].
-    first: dict[int, int] = {}
-    basis: list[tuple[int, int]] = []
-    for i in range(1, n):
-        first[i] = len(basis)
-        basis.extend((i, j) for j in range(len(positions[i]) - 1))
-
+    # loop[i], sign[i]: column i's open loop (-1 if none) and the sign of
+    # the letter that opened it; columns 0 and n stay empty.
+    loop = [-1] * (n + 1)
+    sign = [0] * (n + 1)
     entries: list[tuple[int, int, int]] = []
-    for i in range(1, n):
-        pos, sgn = positions[i], signs[i]
-        right = positions.get(i + 1, [])
-        for j in range(len(pos) - 1):
-            a = first[i] + j
-            s1, s2 = sgn[j], sgn[j + 1]
-            if s1 == s2:  # the self pairing is 0 when the signs differ
-                entries.append((a, a, -s1))
-            if j + 2 < len(pos):  # the next loop shares the crossing of sign s2
-                entries.append((a, a + 1, 1) if s2 > 0 else (a + 1, a, -1))
-            # Loops of column i + 1 whose interval strictly interleaves with
-            # (a1, a2): the one open at a1 if it closes inside, and the one
-            # open at a2 if it opens inside.
-            a1, a2 = pos[j], pos[j + 1]
-            inside = bisect_right(right, a1)
-            if inside == len(right) or right[inside] > a2:
-                continue  # no column-(i + 1) crossing between a1 and a2
-            after = bisect_right(right, a2)
-            pairs = []
-            if inside > 0:  # that loop starts first
-                pairs.append((first[i + 1] + inside - 1, 1))
-            if after < len(right):  # loop a starts first
-                pairs.append((first[i + 1] + after - 1, -1))
-            for b, value in pairs:
-                entries.append((a, b, value) if i % 2 == 1 else (b, a, value))
-
-    starts = [positions[i][j] for i, j in basis]
-    sweep_order = sorted(range(len(basis)), key=starts.__getitem__)
-    return SeifertData(tuple(basis), tuple(entries), tuple(sweep_order), split)
+    order = 0
+    for e in word.letters:
+        i, s = (e, 1) if e > 0 else (-e, -1)
+        left[i] -= 1
+        a = loop[i]
+        if a >= 0:  # this letter closes loop a
+            if sign[i] == s:  # the self pairing is 0 when the signs differ
+                entries.append((a, a, -s))
+            if left[i]:  # the loop this letter opens shares its crossing
+                entries.append((a, order, 1) if s > 0 else (order, a, -1))
+            # An adjacent column's open loop b > a opened inside loop a and
+            # closes after it, so their intervals strictly interleave with a
+            # first; every such pair is met once, here.  The entry is -1 with
+            # column i + 1 (column i starts first) and +1 with column i - 1,
+            # and at V[a][b] exactly when i is odd, by the table above.
+            for b, value in ((loop[i + 1], -1), (loop[i - 1], 1)):
+                if b > a:
+                    entries.append((a, b, value) if i % 2 else (b, a, value))
+        if left[i]:
+            loop[i], sign[i] = order, s
+            order += 1
+        else:
+            loop[i] = -1
+    return SeifertData(order, tuple(entries), split)
 
 
 def symmetrized_determinant(data: SeifertData) -> int:
     """det(V + V^T), exactly; 0 for split closures (where the band basis
     misses the split unknot factors and a 0x0 matrix would wrongly give 1).
 
-    Eliminates in sweep order; see the module docstring.
+    Eliminates in the basis order; see the module docstring.
     """
     if data.split:
         return 0
-    place = [0] * len(data.sweep_order)
-    for k, loop in enumerate(data.sweep_order):
-        place[loop] = k
-    rows: list[dict[int, int]] = [{} for _ in place]
+    rows: list[dict[int, int]] = [{} for _ in range(data.order)]
     for a, b, value in data.entries:
-        i, j = place[a], place[b]
-        rows[i][j] = rows[i].get(j, 0) + value
-        rows[j][i] = rows[j].get(i, 0) + value
+        rows[a][b] = rows[a].get(b, 0) + value
+        rows[b][a] = rows[b].get(a, 0) + value
     return sparse_determinant(rows, 1)

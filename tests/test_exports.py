@@ -1,0 +1,53 @@
+"""The library exports nothing that nothing reads."""
+
+import ast
+from pathlib import Path
+
+import braidlink
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Public names kept with no reader in src/ or bench/, each with its reason.
+ALLOWED = {
+    "conjugate": "tests/test_acceptance.py imports it (Markov invariance)",
+    "stabilize": "tests/test_acceptance.py imports it (Markov invariance)",
+}
+
+
+def defined_names(tree):
+    """The public names a module defines at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def read_names(tree):
+    """The names a module loads, imports or reads as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
+
+
+def test_every_public_name_has_a_reader():
+    library = sorted((ROOT / "src" / "braidlink").glob("*.py"))
+    readers = library + sorted((ROOT / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in readers}
+    read = set(braidlink.__all__).union(*map(read_names, trees.values()))
+    unread = {
+        f"{path.stem}.{name}"
+        for path in library
+        for name in defined_names(trees[path]) - read
+    }
+    assert {name.partition(".")[2] for name in unread} <= ALLOWED.keys(), sorted(unread)

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from braidlink.laurent import (
     ONE,
     SCHOOLBOOK_MAX,
-    T,
     ZERO,
     LaurentPolynomial,
     geometric_sum,
@@ -16,6 +15,9 @@ from braidlink.laurent import (
     kronecker_unpack,
     slot_width,
 )
+
+
+T = LaurentPolynomial({1: 1})
 
 
 def poly(pairs):

@@ -17,6 +17,7 @@ from braidlink.matrices import (
 )
 from braidlink.seifert import seifert_matrix, symmetrized_determinant
 from strategies import braid_words
+from test_seifert import column_major_seifert
 
 
 def bareiss_determinant_int(rows):
@@ -122,8 +123,8 @@ def test_laurent_determinant_matches_integer_specialization():
 
 
 def test_integer_matrix_type():
-    m = IntegerMatrix.from_rows([[0, 1], [-1, 2]])
-    assert m.nrows == m.ncols == 2
+    m = IntegerMatrix(((0, 1), (-1, 2)))
+    assert m.nrows == 2
     assert m.rows == ((0, 1), (-1, 2))
 
 
@@ -294,7 +295,7 @@ def test_sparse_elimination_matches_dense_oracle(rows):
 
 
 def column_major_symmetrized(word):
-    v = seifert_matrix(word).matrix.rows
+    v, _, _ = column_major_seifert(word)
     return [[x + y for x, y in zip(row, column)] for row, column in zip(v, zip(*v))]
 
 

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 from hypothesis import given, settings
 
@@ -7,7 +8,73 @@ from braidlink.burau import alexander_polynomial, determinant_from_burau
 from braidlink.laurent import ZERO, LaurentPolynomial
 from braidlink.matrices import bareiss_determinant_laurent
 from braidlink.seifert import seifert_matrix, symmetrized_determinant
-from strategies import braid_words
+from strategies import braid_words, oracle_words
+
+
+def column_major_seifert(word):
+    """The column-major construction, the oracle for seifert_matrix.
+
+    Returns dense V with the loops ordered by column, then by occurrence,
+    found by bisection over each column's crossing positions; the word
+    position of each loop's first crossing; and the split flag."""
+    n = word.strand_count
+    # positions[i], signs[i]: word positions and signs of the column-i letters
+    positions = {i: [] for i in range(1, n)}
+    signs = {i: [] for i in range(1, n)}
+    for pos, e in enumerate(word.letters):
+        positions[abs(e)].append(pos)
+        signs[abs(e)].append(1 if e > 0 else -1)
+    split = n >= 2 and any(not positions[i] for i in range(1, n))
+
+    # first[i]: index of column i's first loop; loop first[i] + j runs from
+    # positions[i][j] to positions[i][j + 1].
+    first = {}
+    starts = []
+    for i in range(1, n):
+        first[i] = len(starts)
+        starts.extend(positions[i][:-1])
+
+    v = [[0] * len(starts) for _ in starts]
+    for i in range(1, n):
+        pos, sgn = positions[i], signs[i]
+        right = positions.get(i + 1, [])
+        for j in range(len(pos) - 1):
+            a = first[i] + j
+            s1, s2 = sgn[j], sgn[j + 1]
+            if s1 == s2:  # the self pairing is 0 when the signs differ
+                v[a][a] = -s1
+            if j + 2 < len(pos):  # the next loop shares the crossing of sign s2
+                if s2 > 0:
+                    v[a][a + 1] = 1
+                else:
+                    v[a + 1][a] = -1
+            # Loops of column i + 1 whose interval strictly interleaves with
+            # (a1, a2): the one open at a1 if it closes inside, and the one
+            # open at a2 if it opens inside.
+            a1, a2 = pos[j], pos[j + 1]
+            inside = bisect_right(right, a1)
+            if inside == len(right) or right[inside] > a2:
+                continue  # no column-(i + 1) crossing between a1 and a2
+            after = bisect_right(right, a2)
+            pairs = []
+            if inside > 0:  # that loop starts first
+                pairs.append((first[i + 1] + inside - 1, 1))
+            if after < len(right):  # loop a starts first
+                pairs.append((first[i + 1] + after - 1, -1))
+            for b, value in pairs:
+                if i % 2 == 1:
+                    v[a][b] = value
+                else:
+                    v[b][a] = value
+    return v, starts, split
+
+
+def first_crossing_oracle(word):
+    """The oracle's V with rows and columns in the order of each loop's
+    first crossing along the word, and its split flag."""
+    v, starts, split = column_major_seifert(word)
+    order = sorted(range(len(starts)), key=starts.__getitem__)
+    return tuple(tuple(v[a][b] for b in order) for a in order), split
 
 
 def seifert_alexander_rows(data):
@@ -42,7 +109,7 @@ def seifert_route_polynomial(word):
 def test_trefoil_matrix():
     data = seifert_matrix(BraidWord(2, (1, 1, 1)))
     assert data.matrix.rows == ((-1, 1), (0, -1))
-    assert data.basis_loops == ((1, 0), (1, 1))
+    assert data.order == 2
     assert not data.split
     assert abs(symmetrized_determinant(data)) == 3
 
@@ -72,14 +139,27 @@ def test_split_detection():
 
 def test_loop_count_and_order():
     data = seifert_matrix(BraidWord(3, (2, 1, 2, 1, 1)))
-    # column-major: column 1 has 3 letters (2 loops), column 2 has 2 (1 loop)
-    assert data.basis_loops == ((1, 0), (1, 1), (2, 0))
+    # column 1 has 3 letters (2 loops, opened at positions 1 and 3) and
+    # column 2 has 2 (1 loop, opened at position 0), so the column-2 loop
+    # comes first
+    assert data.order == 3
+    assert data.matrix.rows == ((-1, 0, 0), (1, -1, 1), (0, 0, -1))
 
 
 def test_mixed_sign_loop_has_zero_self_pairing():
     data = seifert_matrix(BraidWord(2, (1, -1, 1)))
     assert data.matrix.rows[0][0] == 0
     assert data.matrix.rows[1][1] == 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(oracle_words(max_strands=9, max_len=60))
+def test_one_pass_matches_column_major_oracle(drawn):
+    w, kind = drawn
+    data = seifert_matrix(w)
+    assert (data.matrix.rows, data.split) == first_crossing_oracle(w)
+    if kind == "split" and w.strand_count > 2:
+        assert data.split
 
 
 # -- dual-route agreement --------------------------------------------------------
