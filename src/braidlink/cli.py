@@ -22,6 +22,7 @@ from .braids import (
     linking_matrix,
     parse_braid,
 )
+from .burau import alexander_polynomial
 from .fixtures import (
     ReferenceBraids,
     infinity_half_braid,
@@ -36,6 +37,7 @@ from .geometry import (
     smoothing_named,
 )
 from .invariants import full_report, link_determinant, report_json, report_text
+from .laurent import LaurentPolynomial
 from .svg import emit_projection_svg
 from .sweep import sweep_full_turn
 
@@ -56,18 +58,33 @@ MAX_STRANDS = 1000
 MAX_LETTERS = 512
 
 
-def _read_word(argument: str) -> BraidWord:
+def _read_text(argument: str) -> str:
     if argument == "-":
-        return parse_braid(sys.stdin.read())
+        return sys.stdin.read()
     if argument.startswith("@"):
         with open(argument[1:], "r", encoding="utf-8") as handle:
-            return parse_braid(handle.read())
-    return parse_braid(argument)
+            return handle.read()
+    return argument
+
+
+def _too_long_to_print(alexander: LaurentPolynomial, point: int) -> bool:
+    """Whether alexander(point) has more digits than str() converts: with d
+    its degree (its lowest exponent is 0), c its largest |coefficient| and b
+    the bit length of T, |T| > 2c gives |alexander(T)| >= |T|**d / 2 >=
+    2**((b - 1) d - 1), and 2**m > 10**limit once 3m >= 10 limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    m = (abs(point).bit_length() - 1) * (len(alexander.terms) - 1) - 1
+    return 0 < 10 * limit <= 3 * m and abs(point) > 2 * max(map(abs, alexander.terms))
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     try:
-        word = _read_word(args.word)
+        text = _read_text(args.word)
+        # Every token but a leading B<n> header is at least one letter, so
+        # text of MAX_LETTERS + 2 tokens is refused before it is parsed.
+        if len(text.replace(",", " ").split(None, MAX_LETTERS + 1)) > MAX_LETTERS + 1:
+            raise BraidParseError(f"braid has more than {MAX_LETTERS} letters")
+        word = parse_braid(text)
     except (BraidParseError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -80,7 +97,11 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     points = tuple(args.alexander_at) if args.alexander_at else (-1,)
     if -1 not in points:
         points = (-1,) + points
-    report = full_report(word, alexander_points=points)
+    alexander = alexander_polynomial(word)
+    if any(_too_long_to_print(alexander, point) for point in points):
+        print("error: report value too large to print: past the digit limit", file=sys.stderr)
+        return EXIT_USAGE
+    report = full_report(word, points, alexander)
     try:
         text = report_json(word, report) if args.json else report_text(word, report)
     except ValueError as err:  # an integer past the interpreter's str limit

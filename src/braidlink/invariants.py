@@ -74,9 +74,12 @@ def link_determinant(word: BraidWord) -> int:
 
 
 def full_report(
-    word: BraidWord, alexander_points: tuple[int, ...] = (-1,)
+    word: BraidWord,
+    alexander_points: tuple[int, ...] = (-1,),
+    alexander: LaurentPolynomial | None = None,
 ) -> InvariantReport:
-    alexander = alexander_polynomial(word)
+    """alexander, when given, is alexander_polynomial(word), computed once."""
+    alexander = alexander_polynomial(word) if alexander is None else alexander
     det_s, det_b = _checked_determinants(word, alexander)
     linking = linking_matrix(word)  # one row and column per component
     return InvariantReport(

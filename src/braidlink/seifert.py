@@ -54,11 +54,8 @@ class SeifertData:
 
     @property
     def matrix(self) -> IntegerMatrix:
-        """V as a dense matrix."""
-        v = [[0] * self.order for _ in range(self.order)]
-        for a, b, value in self.entries:
-            v[a][b] = value
-        return IntegerMatrix(tuple(map(tuple, v)))
+        """V as a matrix."""
+        return IntegerMatrix(self.order, self.entries)
 
 
 def seifert_matrix(word: BraidWord) -> SeifertData:

@@ -4,16 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidlink.braids import BraidWord, concat, invert
-from braidlink.burau import (
-    PACKED_MAX,
-    _certified_width,
-    _determinant,
-    alexander_polynomial,
-    burau_reduced,
-    determinant_from_burau,
-)
+from braidlink.burau import alexander_polynomial, burau_reduced, determinant_from_burau
 from braidlink.fixtures import reference_braids
 from braidlink.laurent import ONE, ZERO, LaurentPolynomial, geometric_sum
+from braidlink.matrices import PACKED_MAX, _certified_width, laurent_determinant
 from strategies import braid_words, oracle_words
 from test_matrices import dense_bareiss
 
@@ -270,6 +264,6 @@ def test_packed_determinant_exact_at_the_certificate_edge(scale, width):
         for i, signs in enumerate(SYLVESTER_4)
     ]
     assert _certified_width(rows) == width
-    det = _determinant(rows)
+    det = laurent_determinant(rows)
     assert det == LaurentPolynomial({-2: 16 * scale**4})
     assert det == dense_bareiss([[row[j] for j in range(4)] for row in rows], ONE)

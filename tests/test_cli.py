@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import sys
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from braidlink.braids import BraidParseError, BraidWord, parse_braid
 from braidlink.cli import MAX_LETTERS, main, run_paper_checks
 from braidlink.fixtures import reference_braids
+from braidlink.laurent import LaurentPolynomial
 
 
 def run(capsys, *argv):
@@ -89,6 +91,45 @@ def test_invariants_alexander_value_too_long_to_print(capsys, json_flag):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "too large to print" in err
+
+
+@needs_int_str_limit
+def test_unprintable_point_is_refused_before_evaluation(capsys, monkeypatch):
+    point = int("9" * 4000)
+    evaluated = []
+    evaluate = LaurentPolynomial.evaluate
+    monkeypatch.setattr(
+        LaurentPolynomial, "evaluate", lambda p, x: evaluated.append(x) or evaluate(p, x)
+    )
+    code, out, err = run(capsys, "invariants", "--alexander-at", str(point), TORUS_501)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: report value too large to print")
+    assert point not in evaluated
+
+
+@needs_int_str_limit
+@pytest.mark.parametrize("sign", [1, -1])
+def test_alexander_value_printed_up_to_the_digit_limit(capsys, sign):
+    # the trefoil's t^2 - t + 1 has exactly the limit's digits at the last
+    # point, and one more at the next
+    limit = sys.get_int_max_str_digits()
+
+    def value(x):
+        return x * x - x + 1
+
+    point = isqrt(10**limit) + 2
+    while value(sign * point) >= 10**limit:
+        point -= 1
+    assert 10 ** (limit - 1) <= value(sign * point)
+    x = sign * point
+    code, out, _ = run(capsys, "invariants", "--alexander-at", str(x), "B2 1 1 1")
+    assert code == 0
+    assert f"alexander({x}): {value(x)}" in out
+    code, out, err = run(capsys, "invariants", "--alexander-at", str(x + sign), "B2 1 1 1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: report value too large to print")
 
 
 def test_invariants_stdin(capsys, monkeypatch):
@@ -290,6 +331,17 @@ def test_strand_limit_admits_its_bound(capsys):
 def test_letter_limit_exits_2_at_once(capsys, monkeypatch, source, text):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     code, out, err = run(capsys, "invariants", "-" if source == "stdin" else text)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: braid has more than {MAX_LETTERS} letters\n"
+
+
+@pytest.mark.parametrize("separator", [" ", ","], ids=["spaces", "commas"])
+def test_letter_limit_refuses_a_long_file_unparsed(capsys, monkeypatch, tmp_path, separator):
+    path = tmp_path / "word.txt"
+    path.write_text("B3 " + ("1" + separator) * 2_000_000, encoding="utf-8")
+    monkeypatch.setattr("braidlink.cli.parse_braid", lambda text: pytest.fail("parsed"))
+    code, out, err = run(capsys, "invariants", f"@{path}")
     assert code == 2
     assert out == ""
     assert err == f"error: braid has more than {MAX_LETTERS} letters\n"

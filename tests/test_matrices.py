@@ -11,7 +11,9 @@ from braidlink.braids import BraidWord
 from braidlink.invariants import full_report
 from braidlink.laurent import ONE, ZERO, LaurentPolynomial
 from braidlink.matrices import (
+    PACKED_MAX,
     IntegerMatrix,
+    _certified_width,
     bareiss_determinant_laurent,
     sparse_determinant,
 )
@@ -24,6 +26,12 @@ def bareiss_determinant_int(rows):
     """Determinant of a square integer matrix given as dense rows, by the
     library's one fraction-free elimination."""
     return sparse_determinant([dict(enumerate(r)) for r in rows], 1)
+
+
+def laurent_elimination(rows):
+    """Determinant of a square Laurent matrix given as dense rows, by the
+    elimination over Z[t, 1/t], never at a packed point."""
+    return sparse_determinant([dict(enumerate(r)) for r in rows], ONE)
 
 
 def dense_bareiss(rows, one):
@@ -116,23 +124,18 @@ def test_laurent_determinant_matches_integer_specialization():
                 ]
                 for _ in range(n)
             ]
-            det = bareiss_determinant_laurent([row[:] for row in entries])
+            det = laurent_elimination(entries)
             for x in (-1, 2):
                 ints = [[p.evaluate(x) for p in row] for row in entries]
                 assert det.evaluate(x) == bareiss_determinant_int(ints)
 
 
 def test_integer_matrix_type():
-    m = IntegerMatrix(((0, 1), (-1, 2)))
-    assert m.nrows == 2
-    assert m.rows == ((0, 1), (-1, 2))
-
-
-def test_integer_matrix_rejects_bad_input():
-    with pytest.raises(ValueError):
-        IntegerMatrix(((0, 1), (2,)))
-    with pytest.raises(TypeError):
-        IntegerMatrix(((0.5,),))
+    m = IntegerMatrix(3, ((0, 1, 1), (1, 0, -1), (1, 1, 2)))
+    assert m.nrows == 3
+    assert m.entries == ((0, 1, 1), (1, 0, -1), (1, 1, 2))
+    assert m.rows == ((0, 1, 0), (-1, 2, 0), (0, 0, 0))
+    assert IntegerMatrix(0, ()).rows == ()
 
 
 # -- sparse elimination with lazy scaling ------------------------------------
@@ -174,7 +177,34 @@ LAURENT_CHAINS = [
 @pytest.mark.parametrize("diagonal, far", LAURENT_CHAINS)
 def test_laurent_row_lazily_scaled_over_many_steps(n, diagonal, far):
     rows = chain_with_far_row(n, diagonal, far, ONE)
+    assert laurent_elimination(rows) == dense_bareiss(rows, ONE)
+
+
+def scaled_chain(n, scale):
+    """chain_with_far_row over Z[t, 1/t] with every entry times scale."""
+    diagonal, far = LAURENT_CHAINS[1]
+    c = LaurentPolynomial({0: scale})
+    return [[c * p for p in row] for row in chain_with_far_row(n, diagonal, far, ONE)]
+
+
+@pytest.mark.parametrize(
+    "n, scale, width",
+    [(3, 1, 1), (6, 1, 2), (12, 1, 4), (3, 40, 4), (6, 40, 8), (3, 10**6, 9), (12, 10**6, 34)],
+)
+def test_laurent_determinant_on_both_sides_of_the_cutoff(n, scale, width):
+    assert 4 <= PACKED_MAX < 8  # widths 1-4 take the packed point, 8 and up do not
+    rows = scaled_chain(n, scale)
+    assert _certified_width([dict(enumerate(row)) for row in rows]) == width
     assert bareiss_determinant_laurent(rows) == dense_bareiss(rows, ONE)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_laurent_determinant_of_a_zero_row(n):
+    # The other entries would not fit the slot a zero certificate suggests.
+    rows = scaled_chain(n, 10**30)
+    rows[n // 2] = [ZERO] * n
+    assert _certified_width([dict(enumerate(row)) for row in rows]) == 0
+    assert bareiss_determinant_laurent(rows) == ZERO
 
 
 def chain_needing_far_row_swap(n, diagonal, far, one=1):
@@ -227,7 +257,7 @@ def test_laurent_row_swapped_in_for_a_zero_pivot(n):
             rows = build(n, diagonal, far, ONE)
             expected = dense_bareiss(rows, ONE)
             assert expected
-            assert bareiss_determinant_laurent(rows) == expected
+            assert laurent_elimination(rows) == expected
 
 
 def laurent_entry(rng):
@@ -263,7 +293,7 @@ def test_laurent_shuffled_triangular_rows(n):
             product = functools.reduce(operator.mul, diagonal, ONE)
             inversions = sum(a > b for a, b in itertools.combinations(order, 2))
             assert expected == (-product if inversions % 2 else product)
-        assert bareiss_determinant_laurent(shuffled) == expected
+        assert laurent_elimination(shuffled) == expected
 
 
 def test_sparse_rows_in_any_order():
