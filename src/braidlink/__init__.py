@@ -1,44 +1,35 @@
 """Exact link invariants of closed braids, and the exact line-arrangement
-sweep that reconstructs the bundled reference braids."""
+sweep that reconstructs the bundled reference braids.
 
-from .braids import BraidParseError, BraidWord, braid_text, parse_braid
-from .burau import alexander_polynomial
-from .fixtures import reference_braids
-from .geometry import (
-    SmoothingChoice,
-    apply_smoothing,
-    build_configuration,
-    project_crossings,
-)
-from .invariants import (
-    InvariantReport,
-    RouteMismatchError,
-    full_report,
-    link_determinant,
-    report_json,
-)
-from .svg import emit_projection_svg
-from .sweep import sweep_full_turn, sweep_half_turn
+Each exported name is imported from its submodule on first use (PEP 562),
+so ``import braidlink`` alone loads no submodule.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BraidParseError",
-    "BraidWord",
-    "InvariantReport",
-    "RouteMismatchError",
-    "SmoothingChoice",
-    "alexander_polynomial",
-    "apply_smoothing",
-    "braid_text",
-    "build_configuration",
-    "emit_projection_svg",
-    "full_report",
-    "link_determinant",
-    "parse_braid",
-    "project_crossings",
-    "reference_braids",
-    "report_json",
-    "sweep_full_turn",
-    "sweep_half_turn",
-]
+_EXPORTS = {
+    "braids": ("BraidParseError", "BraidWord", "braid_text", "parse_braid"),
+    "burau": ("alexander_polynomial",),
+    "fixtures": ("reference_braids",),
+    "geometry": ("SmoothingChoice", "apply_smoothing", "build_configuration", "project_crossings"),
+    "invariants": (
+        "InvariantReport", "RouteMismatchError", "full_report", "link_determinant", "report_json",
+    ),
+    "svg": ("emit_projection_svg",),
+    "sweep": ("sweep_full_turn", "sweep_half_turn"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOME.keys())

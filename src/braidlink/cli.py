@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
+from typing import TYPE_CHECKING
 
 from .braids import (
     BraidParseError,
@@ -23,23 +25,36 @@ from .braids import (
     parse_braid,
 )
 from .burau import alexander_polynomial
-from .fixtures import (
-    ReferenceBraids,
-    infinity_half_braid,
-    reference_braids,
-)
-from .geometry import (
-    SmoothingChoice,
-    apply_smoothing,
-    build_configuration,
-    crossings_json,
-    project_crossings,
-    smoothing_named,
-)
 from .invariants import full_report, link_determinant, report_json, report_text
 from .laurent import LaurentPolynomial
-from .svg import emit_projection_svg
-from .sweep import sweep_full_turn
+
+if TYPE_CHECKING:
+    from .fixtures import ReferenceBraids
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for braidlink.<module>.<name> that imports the module when
+    first called, so only `paper` and `construct` load the arrangement code.
+    It carries the home module's name, as the imported function would, so a
+    tracer that wraps cli's library calls by module still finds it."""
+    home = f"{__package__}.{module}"
+
+    def call(*args, **kwargs):
+        return getattr(import_module(home), name)(*args, **kwargs)
+
+    call.__module__, call.__name__, call.__qualname__ = home, name, name
+    return call
+
+
+infinity_half_braid = _deferred("fixtures", "infinity_half_braid")
+reference_braids = _deferred("fixtures", "reference_braids")
+apply_smoothing = _deferred("geometry", "apply_smoothing")
+build_configuration = _deferred("geometry", "build_configuration")
+crossings_json = _deferred("geometry", "crossings_json")
+project_crossings = _deferred("geometry", "project_crossings")
+smoothing_named = _deferred("geometry", "smoothing_named")
+emit_projection_svg = _deferred("svg", "emit_projection_svg")
+sweep_full_turn = _deferred("sweep", "sweep_full_turn")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -186,6 +201,8 @@ def run_paper_checks(braids: ReferenceBraids | None = None, out=None) -> int:
         totals == [8, 8],
         f"got {totals}, want [8, 8]",
     )
+
+    from .geometry import SmoothingChoice
 
     lines = build_configuration()
     events = project_crossings(lines, "oxy")

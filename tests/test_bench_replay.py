@@ -1,11 +1,13 @@
 """The benchmark's traced stage replay runs on the library as it is, and
-the sizes it records are the library's own."""
+the sizes it records are the library's own; its traced CLI records every
+library call a request makes."""
 
 import sys
 from pathlib import Path
 
 import pytest
 
+from braidlink import cli
 from braidlink.braids import parse_braid
 from braidlink.burau import burau_reduced
 from braidlink.laurent import ONE
@@ -51,3 +53,38 @@ def test_replay_records_every_stage_with_the_library_sizes(name):
     assert spans["burau.product"]["size"] == word.strand_count - 1
     assert spans["matrices.det_laurent"]["span"] == pairs[-1][0] - pairs[0][0]
     assert spans["matrices.det_laurent"]["coeff_bits"] == max(abs(c).bit_length() for _, c in pairs)
+
+
+# The library spans a traced request records, by request.
+TRACED_SPANS = {
+    ("invariants", "--json", "B3 1 2"): {
+        "braids.parse_braid", "burau.alexander_polynomial", "invariants.full_report",
+        "invariants.report_json",
+    },
+    ("paper",): {
+        "braids.braid_text", "braids.components", "braids.components_of_antipodal_closure",
+        "braids.linking_matrix", "fixtures.infinity_half_braid", "fixtures.reference_braids",
+        "geometry.apply_smoothing", "geometry.build_configuration", "geometry.project_crossings",
+        "invariants.link_determinant", "sweep.sweep_full_turn",
+    },
+    ("paper", "--variant", "positive-q0"): {
+        "fixtures.reference_braids", "invariants.full_report", "invariants.report_text",
+    },
+    ("construct", "--emit", "braid"): {
+        "braids.braid_text", "geometry.apply_smoothing", "geometry.build_configuration",
+        "geometry.project_crossings", "geometry.smoothing_named", "sweep.sweep_full_turn",
+    },
+    ("construct", "--emit", "crossings", "--projection", "oxz"): {
+        "geometry.build_configuration", "geometry.crossings_json", "geometry.project_crossings",
+    },
+    ("construct", "--emit", "svg"): {"geometry.build_configuration", "svg.emit_projection_svg"},
+}
+
+
+@pytest.mark.parametrize("argv", TRACED_SPANS, ids=" ".join)
+def test_traced_cli_wraps_every_library_call(argv, capsys):
+    tracer = tracing.Tracer()
+    with tracing.traced_cli(tracer, cli):
+        assert cli.main(list(argv)) == 0
+    assert {s["name"] for s in tracer.spans} == TRACED_SPANS[argv]
+    assert capsys.readouterr().out

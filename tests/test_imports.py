@@ -1,0 +1,68 @@
+"""The package exports its names lazily, and a request loads only the modules
+its subcommand runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import braidlink
+
+SRC = str(Path(braidlink.__file__).resolve().parents[1])
+
+
+def loaded_after(script: str) -> list[str]:
+    """The braidlink modules a fresh interpreter holds after running script."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    report = "\nprint(*sorted(m for m in sys.modules if m.partition('.')[0] == 'braidlink'))"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + script + report],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_import_braidlink_loads_no_submodule():
+    assert loaded_after("import braidlink") == ["braidlink"]
+
+
+def test_invariants_request_loads_only_the_invariant_modules():
+    script = "import braidlink.cli\nbraidlink.cli.main(['invariants', 'B3 1 2'])"
+    modules = ["", ".braids", ".laurent", ".matrices", ".burau", ".seifert", ".invariants", ".cli"]
+    assert loaded_after(script) == sorted("braidlink" + m for m in modules)
+
+
+@pytest.mark.parametrize("name", braidlink.__all__)
+def test_export_is_the_object_in_its_home_module(name):
+    value = getattr(braidlink, name)
+    home = sys.modules[value.__module__]
+    assert home.__name__.startswith("braidlink.")
+    assert getattr(home, name) is value
+
+
+def test_exports_are_listed_by_dir():
+    assert len(braidlink.__all__) == 18
+    assert set(braidlink.__all__) <= set(dir(braidlink))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from braidlink import *", namespace)
+    assert {name: namespace[name] for name in braidlink.__all__} == {
+        name: getattr(braidlink, name) for name in braidlink.__all__
+    }
+
+
+def test_roadmap_rows_import():
+    from braidlink import full_report, parse_braid, reference_braids
+    from braidlink.fixtures import reference_braids as stored
+
+    assert reference_braids is stored
+    assert full_report(parse_braid("B2 1 1 1")).determinant == 3
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'geometry_of_nothing'"):
+        braidlink.geometry_of_nothing
