@@ -378,6 +378,12 @@ STDOUT_SHA256 = [
      "5e235476c83a2e168b69e7349db6ec8a4cbb45f70c70e7aad6197c9673bbb9c5"),
     (("construct", "--emit", "svg", "--projection", "oxz"),
      "168cfa753ea80a1184af4eac453e591d299e4524d6ab052c70206153c328a0bc"),
+    (("construct", "--emit", "crossings", "--projection", "oxy", "--smoothing", "paper"),
+     "6a743e644387cb200e0d9a5362e47a46d6e151f01852bb4e28da9478d4803891"),
+    (("construct", "--emit", "crossings", "--projection", "oxy", "--smoothing", "all-positive"),
+     "a8701bbf3feb655f260d539060c034a713768505d043c2d63ca5598f5fd6294a"),
+    (("construct", "--emit", "svg", "--projection", "oxy", "--smoothing", "paper"),
+     "27a9ea0a49ebbcfc81fb285c05dd8fc1ff403a6edd5de338a4447bccc7c45e9a"),
 ]
 
 
