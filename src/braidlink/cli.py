@@ -5,12 +5,14 @@
     braidlink construct [--projection P] [--smoothing S] [--emit WHAT]
 
 WORD is braid text, @path to read it from a file, or - for standard input.
-Exit codes: 0 success, 1 verification failure, 2 usage or parse errors.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse errors,
+141 standard output closed before all of it was written (as by `| head`).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import import_module
 from typing import TYPE_CHECKING
@@ -59,6 +61,7 @@ sweep_full_turn = _deferred("sweep", "sweep_full_turn")
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_OUTPUT_CLOSED = 141  # the shell's status for a process ended by SIGPIPE
 
 # invariants refuses words on more strands: the linking matrix and the Burau
 # rows grow with the strand count, so a few characters could ask for
@@ -334,10 +337,17 @@ _PARSER = build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except BraidParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to nowhere, so the
+        # interpreter's final flush of stdout fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OUTPUT_CLOSED
+    return code
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ quarter-turn orbits of the lines through p0 = (3,-1,-1), q0 = (3,1,1).
 
 The configuration data is integral: the points, the line directions and
 their projections are ints.  A Fraction arises only where a division does:
-the parameter and position of a crossing, a depth compared at a crossing,
-and the SVG clipping.  Floating point never appears.
+the position of a crossing and the SVG drawing.  Floating point never
+appears.
 """
 
 from __future__ import annotations
@@ -86,31 +86,27 @@ def build_configuration() -> tuple[SpaceLine, ...]:
 class Projection:
     """A coordinate projection of the space onto a drawing plane.
 
-    plane_axes name the two coordinates drawn; the remaining coordinate,
-    depth_axis, times depth_sign is the depth, larger meaning closer to the
-    viewer (the over strand).  infinity_is_strand is True when the line at
+    plane_axes name the two coordinates drawn.  They and the direction
+    towards the viewer, in that order, form a right-handed frame: the
+    crossing signs rely on it.  tone_axis is the coordinate whose sign the
+    SVG draws in two tones.  infinity_is_strand is True when the line at
     infinity L' is a strand of the picture, so that projected-parallel
     pairs meet it in triple crossings.
     """
 
     name: str
     plane_axes: tuple[str, str]
-    depth_axis: str
-    depth_sign: int
+    tone_axis: str
     infinity_is_strand: bool
 
     def plane(self, p: Point3) -> tuple[Rational, Rational]:
         return (getattr(p, self.plane_axes[0]), getattr(p, self.plane_axes[1]))
 
-    def depth(self, p: Point3) -> Rational:
-        return self.depth_sign * getattr(p, self.depth_axis)
-
 
 # Oxy is viewed from z = +infinity.  The Oxz picture arises from it by
-# rotating space around the x-axis, which points the y-axis away from the
-# viewer, so smaller y is closer.
-OXY = Projection("oxy", ("x", "y"), "z", 1, infinity_is_strand=True)
-OXZ = Projection("oxz", ("x", "z"), "y", -1, infinity_is_strand=False)
+# rotating space around the x-axis, so it is viewed from y = -infinity.
+OXY = Projection("oxy", ("x", "y"), "z", infinity_is_strand=True)
+OXZ = Projection("oxz", ("x", "z"), "y", infinity_is_strand=False)
 
 
 def projection_named(projection: Projection | str) -> Projection:
@@ -133,27 +129,18 @@ def cross(u: Vector2, v: Vector2) -> Rational:
 class ProjectedLine:
     """Image of a space line base + t * direction in the drawing plane.
 
-    At parameter t the image point is base + t * step and the space line
-    lies at depth depth + t * depth_step over it: base, step and the depths
-    are the projection's coordinates of the space line's base and
-    direction.  Crossings, depths, the sweep's strand order and the SVG
-    segments all read this one parametrisation.
+    At parameter t the image point is base + t * step: base and step are
+    the plane coordinates of the space line's base and direction.
+    Crossings, the sweep's strand order and the SVG segments all read this
+    one parametrisation.
     """
 
     label: str
     base: Vector2
     step: Vector2
-    depth: Rational
-    depth_step: Rational
 
     def point_at(self, t: Rational) -> Vector2:
         return (self.base[0] + t * self.step[0], self.base[1] + t * self.step[1])
-
-    def depth_at(self, point: Vector2) -> Rational:
-        """Depth of the space line over a drawing-plane point on it."""
-        axis = 0 if self.step[0] != 0 else 1
-        t = Fraction(point[axis] - self.base[axis], self.step[axis])
-        return self.depth + t * self.depth_step
 
 
 def half_turn_direction(d: Direction, start: Direction) -> tuple[Direction, tuple]:
@@ -185,11 +172,21 @@ def upper_half_primitive(a: Rational, b: Rational) -> Direction:
 
 def project_line(line: SpaceLine, projection: Projection) -> ProjectedLine:
     return ProjectedLine(
-        line.label,
-        projection.plane(line.base),
-        projection.plane(line.direction),
-        projection.depth(line.base),
-        projection.depth(line.direction),
+        line.label, projection.plane(line.base), projection.plane(line.direction)
+    )
+
+
+def _handedness(a: SpaceLine, b: SpaceLine) -> Rational:
+    """det(d_a, d_b, b_b - b_a): zero exactly when the lines are coplanar,
+    and otherwise of one sign in every view.  Where a crosses over b in a
+    right-handed view the determinant has the opposite sign to the plane
+    cross product of their images, so it is negative at a positive
+    crossing."""
+    d, e, p, q = a.direction, b.direction, a.base, b.base
+    return (
+        (d.y * e.z - d.z * e.y) * (q.x - p.x)
+        + (d.z * e.x - d.x * e.z) * (q.y - p.y)
+        + (d.x * e.y - d.y * e.x) * (q.z - p.z)
     )
 
 
@@ -232,49 +229,45 @@ def project_crossings(
     """All pairwise crossing events of the projected arrangement.
 
     Pairs meeting in space are flagged double points awaiting a smoothing
-    choice; the other finite crossings carry exact over/under and sign.
-    Projected-parallel pairs give at-infinity events; in the Oxy picture the
-    line at infinity is a strand and those events are triple crossings.
+    choice; the other finite crossings carry the sign of the two lines'
+    handedness, which is the same in every view.  Projected-parallel pairs
+    give at-infinity events; in the Oxy picture the line at infinity is a
+    strand and those events are triple crossings.
     """
     projection = projection_named(projection)
-    return crossings_of([project_line(line, projection) for line in lines], projection)
-
-
-def crossings_of(
-    projected: list[ProjectedLine], projection: Projection
-) -> list[CrossingEvent]:
-    """project_crossings of lines already projected by projection."""
     double_points = {projection.plane(p): name for name, p in base_points().items()}
+    projected = [(line, project_line(line, projection)) for line in lines]
     events: list[CrossingEvent] = []
 
-    for i, a in enumerate(projected):
-        for b in projected[i + 1:]:
+    for i, (a, pa) in enumerate(projected):
+        for b, pb in projected[i + 1:]:
             labels = (a.label, b.label)
-            det = cross(a.step, b.step)
+            det = cross(pa.step, pb.step)
             if det == 0:
                 if projection.infinity_is_strand:
                     labels += (INFINITY_LABEL,)
                 events.append(
-                    CrossingEvent("at_infinity", labels, upper_half_primitive(*a.step))
+                    CrossingEvent("at_infinity", labels, upper_half_primitive(*pa.step))
                 )
                 continue
-            # the crossing is a.point_at(t) == b.point_at(u)
-            gap = (b.base[0] - a.base[0], b.base[1] - a.base[1])
-            t, u = Fraction(cross(gap, b.step), det), Fraction(cross(gap, a.step), det)
-            position = a.point_at(t)
-            angle = None if position == (0, 0) else upper_half_primitive(*position)
+            # the crossing is pa.point_at(n / det): the numerators x, y over det
+            gap = (pb.base[0] - pa.base[0], pb.base[1] - pa.base[1])
+            n = cross(gap, pb.step)
+            x, y = pa.base[0] * det + n * pa.step[0], pa.base[1] * det + n * pa.step[1]
+            position = (Fraction(x, det), Fraction(y, det))
+            angle = None if x == y == 0 else upper_half_primitive(x, y)
             # a crossing is positive exactly when this line is the over one
             positive_over = a.label if det > 0 else b.label
-            depth_a, depth_b = a.depth + t * a.depth_step, b.depth + u * b.depth_step
+            handedness = _handedness(a, b)
             sign = name = None
-            if depth_a == depth_b:
+            if handedness == 0:
                 name = double_points.get(position)
                 if name is None:
                     raise RuntimeError(
                         f"unexpected spatial intersection of {a.label} and {b.label}"
                     )
             else:
-                sign = 1 if (depth_a > depth_b) == (det > 0) else -1
+                sign = 1 if handedness < 0 else -1
             events.append(
                 CrossingEvent("finite", labels, angle, position, sign, name, positive_over)
             )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .braids import (
     BraidWord,
@@ -47,7 +46,7 @@ class InvariantReport:
 
 def _integer_value(alexander: LaurentPolynomial, point: int) -> int:
     value = alexander.evaluate(point)
-    if isinstance(value, Fraction):
+    if not isinstance(value, int):
         raise RuntimeError("integer evaluation points give integer values")
     return value
 

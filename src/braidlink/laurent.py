@@ -36,11 +36,13 @@ binom(k, k//2) times the 2-norm of the dividend (Mignotte 1974).
 from __future__ import annotations
 
 import struct
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 from operator import add, mul, neg, sub
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Factors with at most this many terms are multiplied term by term.  Against
 # a 9-term factor the loop wins up to 4 terms, ties at 5 and 6 and loses from
@@ -184,10 +186,10 @@ class LaurentPolynomial:
         if self.low >= 0:
             total *= x**self.low
         else:
+            from fractions import Fraction  # only a negative exponent divides
+
             total = total / Fraction(x) ** -self.low
-        if isinstance(total, Fraction) and total.denominator == 1:
-            return int(total)
-        return total
+        return int(total) if total.denominator == 1 else total
 
     # -- exact division -------------------------------------------------
 

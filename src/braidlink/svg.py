@@ -1,6 +1,6 @@
 """Schematic SVG of a projected line arrangement.
 
-Each line is drawn in two tones split where the projection's depth-axis
+Each line is drawn in two tones split where the projection's tone-axis
 coordinate changes sign (black positive, grey negative: z for the Oxy
 picture, y for Oxz).  Crossings show the under strand interrupted by a
 white casing under the over strand; unresolved or smoothed double points
@@ -8,9 +8,9 @@ are marked with a small circle.  The viewport is fixed to [-7, 7]^2, so
 output bytes are a deterministic function of the input.
 
 The drawing is computed exactly: the clip parameters, the cut where the
-depth changes sign and the casing ends are Fractions of the lines'
-integral data, and only the output formatting (_svg_coords and the canvas
-size) converts to float.
+tone changes and the casing ends are Fractions of the lines' integral
+data, and only the output formatting (_svg_coords and the canvas size)
+converts to float.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from fractions import Fraction
 from .geometry import (
     Projection,
     ProjectedLine,
+    Rational,
     SmoothingChoice,
     SpaceLine,
     apply_smoothing,
-    crossings_of,
+    project_crossings,
     project_line,
     projection_named,
 )
@@ -43,8 +44,10 @@ def _fmt(p: tuple[Fraction, Fraction]) -> str:
     return f"{x:.2f},{y:.2f}"
 
 
-def _tone(depth_axis_coordinate: Fraction) -> str:
-    return TONE_POSITIVE if depth_axis_coordinate > 0 else TONE_NEGATIVE
+def _tone(line: SpaceLine, axis: str, t: Rational) -> str:
+    """The tone of the line's point at parameter t."""
+    coordinate = getattr(line.base, axis) + t * getattr(line.direction, axis)
+    return TONE_POSITIVE if coordinate > 0 else TONE_NEGATIVE
 
 
 def _clip_parameter_range(line: ProjectedLine) -> tuple[Fraction, Fraction]:
@@ -56,26 +59,25 @@ def _clip_parameter_range(line: ProjectedLine) -> tuple[Fraction, Fraction]:
         t1 = Fraction(-VIEW - line.base[axis], line.step[axis])
         t2 = Fraction(VIEW - line.base[axis], line.step[axis])
         bounds.append((min(t1, t2), max(t1, t2)))
-    lo = max(t[0] for t in bounds)
-    hi = min(t[1] for t in bounds)
-    return lo, hi
+    return max(t[0] for t in bounds), min(t[1] for t in bounds)
 
 
-def _line_segments(line: ProjectedLine, depth_sign: int) -> list[tuple[str, tuple, tuple]]:
-    """(tone, start, end) pieces of the clipped line, split where the
-    depth-axis coordinate, depth_sign times the depth, changes sign."""
-    lo, hi = _clip_parameter_range(line)
+def _line_segments(
+    line: SpaceLine, image: ProjectedLine, axis: str
+) -> list[tuple[str, tuple, tuple]]:
+    """(tone, start, end) pieces of the clipped image of the line, split
+    where its axis coordinate changes sign."""
+    lo, hi = _clip_parameter_range(image)
     if lo >= hi:
         return []
     cuts = [lo, hi]
-    if line.depth_step != 0:
-        t_zero = Fraction(-line.depth, line.depth_step)
+    if getattr(line.direction, axis) != 0:
+        t_zero = Fraction(-getattr(line.base, axis), getattr(line.direction, axis))
         if lo < t_zero < hi:
             cuts.insert(1, t_zero)
-    # the depth is linear in t, so a piece has the sign of its midpoint
+    # the coordinate is linear in t, so a piece has the sign of its midpoint
     return [
-        (_tone(depth_sign * (line.depth + (a + b) / 2 * line.depth_step)),
-         line.point_at(a), line.point_at(b))
+        (_tone(line, axis, (a + b) / 2), image.point_at(a), image.point_at(b))
         for a, b in zip(cuts, cuts[1:])
     ]
 
@@ -86,8 +88,8 @@ def emit_projection_svg(
     smoothing: SmoothingChoice | None = None,
 ) -> str:
     projection = projection_named(projection)
-    projected = {line.label: project_line(line, projection) for line in lines}
-    events = crossings_of(list(projected.values()), projection)
+    axis = projection.tone_axis
+    events = project_crossings(lines, projection)
     if smoothing is not None:
         events = apply_smoothing(events, smoothing)
 
@@ -98,10 +100,12 @@ def emit_projection_svg(
         f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">',
         f'<rect width="{size:.0f}" height="{size:.0f}" fill="#ffffff"/>',
     ]
+    drawn = {}
     for line in lines:
+        image = project_line(line, projection)
+        drawn[line.label] = (line, image)
         out.append(f'<g class="line" id="line-{line.label}">')
-        segments = _line_segments(projected[line.label], projection.depth_sign)
-        for tone, start, end in segments:
+        for tone, start, end in _line_segments(line, image, axis):
             out.append(
                 f'<polyline points="{_fmt(start)} {_fmt(end)}" fill="none" '
                 f'stroke="{tone}" stroke-width="2"/>'
@@ -120,13 +124,14 @@ def emit_projection_svg(
                 f'r="5" fill="#ffffff" stroke="#555555" stroke-dasharray="2,2"/>'
             )
             continue
-        over = projected[event.over]
+        line, over = drawn[event.over]
         ux, uy = over.step
         scale = Fraction(gap, max(abs(ux), abs(uy)))
         a = (event.position[0] - ux * scale, event.position[1] - uy * scale)
         b = (event.position[0] + ux * scale, event.position[1] + uy * scale)
-        # the tone follows the depth axis coordinate itself, not the depth
-        tone = _tone(projection.depth_sign * over.depth_at(event.position))
+        # the over line's tone at the crossing's own parameter
+        i = 0 if ux != 0 else 1
+        tone = _tone(line, axis, Fraction(event.position[i] - over.base[i], over.step[i]))
         out.append(
             f'<g class="crossing"><polyline points="{_fmt(a)} {_fmt(b)}" '
             f'fill="none" stroke="#ffffff" stroke-width="8"/>'

@@ -2,12 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import braidlink
 from braidlink.braids import BraidParseError, BraidWord, parse_braid
 from braidlink.cli import MAX_LETTERS, main, run_paper_checks
 from braidlink.fixtures import reference_braids
@@ -234,6 +238,33 @@ def test_construct_svg(capsys):
     assert code == 0
     assert out.startswith("<?xml")
     assert out.count('<g class="line"') == 8
+
+
+def test_closed_stdout_exits_141_quietly(capsys):
+    # A pipe of one page holds less than the whole crossing list, so the
+    # program is still writing when the reader leaves after the first line.
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe capacity cannot be set on this platform")
+    argv = ["construct", "--emit", "crossings", "--projection", "oxy"]
+    size = len(run(capsys, *argv)[1])
+    read_end, write_end = os.pipe()
+    if fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096) >= size - 2:
+        os.close(read_end), os.close(write_end)
+        pytest.skip("the smallest pipe holds the whole output")
+    src = str(Path(braidlink.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "braidlink.cli", *argv],
+        stdout=write_end, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+    )
+    os.close(write_end)
+    first = b""
+    while not first.endswith(b"\n"):
+        first += os.read(read_end, 1)
+    os.close(read_end)
+    _, err = child.communicate(timeout=60)
+    assert (first, err, child.returncode) == (b"{\n", b"", 141)
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,13 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from braidlink.geometry import (
     INFINITY_LABEL,
     SmoothingChoice,
+    _handedness,
     apply_smoothing,
     base_points,
     build_configuration,
+    cross,
     crossings_json,
     project_crossings,
     project_line,
@@ -16,6 +19,7 @@ from braidlink.geometry import (
     OXY,
     OXZ,
     Point3,
+    Projection,
     SpaceLine,
 )
 from braidlink.svg import _line_segments, emit_projection_svg
@@ -265,8 +269,8 @@ def test_arrangement_values_are_exact(projection, moved):
         lines = tuple(reparametrised(line) for line in lines)
     for line in lines:
         projected = project_line(line, projection)
-        assert_exact(*projected.base, *projected.step, projected.depth, projected.depth_step)
-        segments = _line_segments(projected, projection.depth_sign)
+        assert_exact(*projected.base, *projected.step)
+        segments = _line_segments(line, projected, projection.tone_axis)
         assert segments
         for _, start, end in segments:
             assert_exact(*start, *end)
@@ -275,3 +279,86 @@ def test_arrangement_values_are_exact(projection, moved):
         for event in [*events, *apply_smoothing(events, smoothing)]:
             if event.position is not None:
                 assert_exact(*event.position)
+
+
+# -- a crossing's sign is the handedness of its two space lines ---------------
+
+# Right-handed views with the depth that the replaced rule compared: the
+# depth axis times its sign grows towards the viewer.
+DEPTH_VIEWS = {
+    "oxy": (OXY, "z", 1),
+    "oxz": (OXZ, "y", -1),
+    "yz": (Projection("yz", ("y", "z"), "x", infinity_is_strand=False), "x", 1),
+}
+
+
+def depth_oracle_sign(a, b, view):
+    """The replaced rule: compare the depths of a and b over their crossing
+    in the view; +1 exactly when the line that is over is a with a positive
+    plane cross product of the images, or b with a negative one.  0 where
+    the depths are equal, None where the images are parallel."""
+    projection, depth_axis, depth_sign = DEPTH_VIEWS[view]
+    pa, pb = project_line(a, projection), project_line(b, projection)
+    det = cross(pa.step, pb.step)
+    if det == 0:
+        return None
+    gap = (pb.base[0] - pa.base[0], pb.base[1] - pa.base[1])
+    t, u = Fraction(cross(gap, pb.step), det), Fraction(cross(gap, pa.step), det)
+
+    def depth(line, s):
+        base, step = getattr(line.base, depth_axis), getattr(line.direction, depth_axis)
+        return depth_sign * (base + s * step)
+
+    depth_a, depth_b = depth(a, t), depth(b, u)
+    if depth_a == depth_b:
+        return 0
+    return 1 if (depth_a > depth_b) == (det > 0) else -1
+
+
+coordinates = st.integers(-6, 6)
+
+
+@st.composite
+def integer_line_pairs(draw):
+    """Two integer lines with dz != 0; about half of them meet in space."""
+
+    def point(z=coordinates):
+        return Point3(draw(coordinates), draw(coordinates), draw(z))
+
+    a = SpaceLine("a", point(), point(coordinates.filter(bool)))
+    if draw(st.booleans()):
+        k, d = draw(coordinates), a.direction
+        base = Point3(a.base.x + k * d.x, a.base.y + k * d.y, a.base.z + k * d.z)
+    else:
+        base = point()
+    return a, SpaceLine("b", base, point(coordinates.filter(bool)))
+
+
+@settings(max_examples=400)
+@given(integer_line_pairs(), st.sampled_from(sorted(DEPTH_VIEWS)))
+def test_crossing_sign_is_the_depth_comparison_sign(pair, view):
+    a, b = pair
+    expected = depth_oracle_sign(a, b, view)
+    assume(expected is not None)  # parallel images cross only at infinity
+    assert (_handedness(a, b) == 0) == (expected == 0)
+    try:
+        [event] = project_crossings(pair, DEPTH_VIEWS[view][0])
+    except RuntimeError:  # the lines meet away from the bundled double points
+        assert expected == 0
+    else:
+        assert event.sign == (expected or None)
+
+
+def test_bundled_crossings_have_one_sign_in_both_views():
+    lines = build_configuration()
+    signs = [
+        {
+            frozenset(e.labels): e.sign
+            for e in project_crossings(lines, projection)
+            if e.kind == "finite" and e.sign is not None
+        }
+        for projection in (OXY, OXZ)
+    ]
+    both = signs[0].keys() & signs[1].keys()
+    assert len(both) == 14
+    assert {pair: signs[0][pair] for pair in both} == {pair: signs[1][pair] for pair in both}

@@ -13,15 +13,20 @@ import braidlink
 SRC = str(Path(braidlink.__file__).resolve().parents[1])
 
 
-def loaded_after(script: str) -> list[str]:
-    """The braidlink modules a fresh interpreter holds after running script."""
+def last_line_after(script: str) -> str:
+    """The last line a fresh interpreter prints running script."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    report = "\nprint(*sorted(m for m in sys.modules if m.partition('.')[0] == 'braidlink'))"
     done = subprocess.run(
-        [sys.executable, "-c", "import sys\n" + script + report],
+        [sys.executable, "-c", "import sys\n" + script],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
-    return done.stdout.splitlines()[-1].split()
+    return done.stdout.splitlines()[-1]
+
+
+def loaded_after(script: str) -> list[str]:
+    """The braidlink modules a fresh interpreter holds after running script."""
+    report = "\nprint(*sorted(m for m in sys.modules if m.partition('.')[0] == 'braidlink'))"
+    return last_line_after(script + report).split()
 
 
 def test_import_braidlink_loads_no_submodule():
@@ -32,6 +37,15 @@ def test_invariants_request_loads_only_the_invariant_modules():
     script = "import braidlink.cli\nbraidlink.cli.main(['invariants', 'B3 1 2'])"
     modules = ["", ".braids", ".laurent", ".matrices", ".burau", ".seifert", ".invariants", ".cli"]
     assert loaded_after(script) == sorted("braidlink" + m for m in modules)
+
+
+def test_invariants_request_makes_no_fraction():
+    script = (
+        "import braidlink.cli\n"
+        "braidlink.cli.main(['invariants', '--json', '--alexander-at', '2', 'B3 1 -2 1 -2'])\n"
+        "print('fractions' in sys.modules)"
+    )
+    assert last_line_after(script) == "False"
 
 
 @pytest.mark.parametrize("name", braidlink.__all__)
