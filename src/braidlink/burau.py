@@ -99,17 +99,10 @@ def alexander_polynomial(word: BraidWord) -> LaurentPolynomial:
 
 
 def _normalize(p: LaurentPolynomial) -> LaurentPolynomial:
-    if p.is_zero:
-        return p
-    p = p.shifted(-p.min_exp)
-    if p.coefficient(p.max_exp) < 0:
-        p = -p
-    return p
+    p = p.shifted(-p.low)
+    return -p if p and p.terms[-1] < 0 else p
 
 
 def determinant_from_burau(word: BraidWord) -> int:
     """Signed Alexander value at t = -1 (the Burau route to the determinant)."""
-    value = alexander_polynomial(word).evaluate(-1)
-    if not isinstance(value, int):
-        raise RuntimeError("Alexander value at -1 must be an integer")
-    return value
+    return alexander_polynomial(word).evaluate(-1)

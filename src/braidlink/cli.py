@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse errors,
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from importlib import import_module
@@ -74,15 +75,43 @@ MAX_STRANDS = 1000
 # strands.  512 admits the 501-letter torus knot whose Alexander value at
 # 10^11 is too long to print.
 MAX_LETTERS = 512
+# No longer token parses under CPython's default limit on the digits of an
+# integer string: "s", 4300 digits, "^-1".
+MAX_TOKEN = 4304
+# The longest text of MAX_LETTERS + 1 such tokens, one separator after each.
+MAX_CHARS = (MAX_LETTERS + 1) * (MAX_TOKEN + 1)
+CHUNK = 1 << 16  # characters read from a word stream at a time
 
 
 def _read_text(argument: str) -> str:
+    """The braid text WORD names, its tokens joined by spaces.  A stream is
+    read a chunk at a time and refused once it is past a limit: more tokens
+    than MAX_LETTERS + 1, a token longer than MAX_TOKEN, or more characters
+    than MAX_CHARS.  So a stream that never ends is refused too."""
     if argument == "-":
-        return sys.stdin.read()
+        return _read_tokens(sys.stdin)
     if argument.startswith("@"):
         with open(argument[1:], "r", encoding="utf-8") as handle:
-            return handle.read()
-    return argument
+            return _read_tokens(handle)
+    return _read_tokens(io.StringIO(argument))
+
+
+def _read_tokens(stream) -> str:
+    tokens: list[str] = []
+    partial = ""  # the last token read, while a chunk may go on with it
+    size = 0
+    while chunk := stream.read(CHUNK):
+        size += len(chunk)
+        if size > MAX_CHARS:
+            raise BraidParseError(f"braid text has more than {MAX_CHARS} characters")
+        tokens += (partial + chunk).replace(",", " ").split()
+        partial = "" if chunk[-1] == "," or chunk[-1].isspace() else tokens.pop()
+        # Every token but a leading B<n> header is at least one letter.
+        if len(tokens) + bool(partial) > MAX_LETTERS + 1:
+            raise BraidParseError(f"braid has more than {MAX_LETTERS} letters")
+        if len(partial) > MAX_TOKEN:
+            raise BraidParseError(f"token of more than {MAX_TOKEN} characters is too long")
+    return " ".join(tokens + [partial])
 
 
 def _too_long_to_print(alexander: LaurentPolynomial, point: int) -> bool:
@@ -97,12 +126,7 @@ def _too_long_to_print(alexander: LaurentPolynomial, point: int) -> bool:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     try:
-        text = _read_text(args.word)
-        # Every token but a leading B<n> header is at least one letter, so
-        # text of MAX_LETTERS + 2 tokens is refused before it is parsed.
-        if len(text.replace(",", " ").split(None, MAX_LETTERS + 1)) > MAX_LETTERS + 1:
-            raise BraidParseError(f"braid has more than {MAX_LETTERS} letters")
-        word = parse_braid(text)
+        word = parse_braid(_read_text(args.word))
     except (BraidParseError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

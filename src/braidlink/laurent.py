@@ -39,10 +39,7 @@ import struct
 from functools import lru_cache
 from math import comb, isqrt
 from operator import add, mul, neg, sub
-from typing import TYPE_CHECKING, Mapping, Sequence
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Mapping, Sequence
 
 # Factors with at most this many terms are multiplied term by term.  Against
 # a 9-term factor the loop wins up to 4 terms, ties at 5 and 6 and loses from
@@ -92,28 +89,8 @@ class LaurentPolynomial:
 
     # -- structure ----------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    @property
-    def min_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return self.low
-
-    @property
-    def max_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return self.low + len(self.terms) - 1
-
-    def coefficient(self, exp: int) -> int:
-        i = exp - self.low
-        return self.terms[i] if 0 <= i < len(self.terms) else 0
 
     def to_pairs(self) -> tuple[tuple[int, int], ...]:
         """Sorted (exponent, coefficient) pairs; canonical serial form."""
@@ -176,20 +153,15 @@ class LaurentPolynomial:
 
     # -- evaluation ------------------------------------------------------
 
-    def evaluate(self, x: int | Fraction) -> int | Fraction:
-        """Exact value at a nonzero rational point."""
-        if x == 0 and self.terms and self.low < 0:
-            raise ZeroDivisionError("negative exponents cannot be evaluated at 0")
-        total: int | Fraction = 0
+    def evaluate(self, x: int) -> int:
+        """Exact value at an integer point; ValueError on a negative
+        exponent, where the value need not be an integer."""
+        if self.low < 0:
+            raise ValueError("a negative exponent has no integer value")
+        total = 0
         for c in reversed(self.terms):
             total = total * x + c
-        if self.low >= 0:
-            total *= x**self.low
-        else:
-            from fractions import Fraction  # only a negative exponent divides
-
-            total = total / Fraction(x) ** -self.low
-        return int(total) if total.denominator == 1 else total
+        return total * x**self.low
 
     # -- exact division -------------------------------------------------
 

@@ -149,11 +149,3 @@ class IntegerMatrix:
 
     nrows: int
     entries: tuple[tuple[int, int, int], ...]
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The matrix as dense rows."""
-        dense = [[0] * self.nrows for _ in range(self.nrows)]
-        for i, j, value in self.entries:
-            dense[i][j] = value
-        return tuple(map(tuple, dense))

@@ -1,7 +1,8 @@
 """The benchmark's traced stage replay runs on the library as it is, and
 the sizes it records are the library's own; its traced CLI records every
-library call a request makes."""
+library call a request makes; and its own self-test passes."""
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -88,3 +89,11 @@ def test_traced_cli_wraps_every_library_call(argv, capsys):
         assert cli.main(list(argv)) == 0
     assert {s["name"] for s in tracer.spans} == TRACED_SPANS[argv]
     assert capsys.readouterr().out
+
+
+def test_benchmark_selftest_passes():
+    # bench/selftest.py runs every workload on a tiny corpus, in about 2 s
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "selftest.py")], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import braidlink
 from braidlink.braids import BraidParseError, BraidWord, parse_braid
-from braidlink.cli import MAX_LETTERS, main, run_paper_checks
+from braidlink.cli import MAX_CHARS, MAX_LETTERS, MAX_TOKEN, main, run_paper_checks
 from braidlink.fixtures import reference_braids
 from braidlink.laurent import LaurentPolynomial
 
@@ -22,6 +22,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """The environment of a child interpreter that imports this braidlink."""
+    src = str(Path(braidlink.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def test_invariants_trefoil(capsys):
@@ -252,11 +259,9 @@ def test_closed_stdout_exits_141_quietly(capsys):
     if fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096) >= size - 2:
         os.close(read_end), os.close(write_end)
         pytest.skip("the smallest pipe holds the whole output")
-    src = str(Path(braidlink.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     child = subprocess.Popen(
         [sys.executable, "-m", "braidlink.cli", *argv],
-        stdout=write_end, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+        stdout=write_end, stderr=subprocess.PIPE, env=child_env(),
     )
     os.close(write_end)
     first = b""
@@ -376,6 +381,42 @@ def test_letter_limit_refuses_a_long_file_unparsed(capsys, monkeypatch, tmp_path
     assert code == 2
     assert out == ""
     assert err == f"error: braid has more than {MAX_LETTERS} letters\n"
+
+
+@pytest.mark.parametrize(
+    "unit, error",
+    [
+        ("1 ", f"braid has more than {MAX_LETTERS} letters"),
+        ("1", f"token of more than {MAX_TOKEN} characters is too long"),
+        (" ", f"braid text has more than {MAX_CHARS} characters"),
+    ],
+    ids=["letters", "one-token", "spaces"],
+)
+def test_endless_stdin_exits_2_at_once(unit, error):
+    # a writer that never stops feeds the standard input of invariants -; the
+    # reader's address space is capped, so a reader that keeps all it reads
+    # fails at once instead of taking the host's memory
+    resource = pytest.importorskip("resource")
+    cap = 1 << 28
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    writer = subprocess.Popen(
+        [sys.executable, "-c", f"import sys\nwhile True: sys.stdout.write({unit * 4096!r})"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    )
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "braidlink.cli", "invariants", "-"], stdin=writer.stdout,
+            capture_output=True, text=True, timeout=30, env=child_env(),
+            preexec_fn=limit_memory,
+        )
+    finally:
+        writer.kill()
+        writer.wait()
+        writer.stdout.close()
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {error}\n")
 
 
 def test_letter_limit_admits_its_bound(capsys):

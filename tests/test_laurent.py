@@ -1,6 +1,5 @@
 import functools
 import operator
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,7 +36,7 @@ laurent_polys = st.dictionaries(
 
 
 def test_zero_polynomial_is_empty_map():
-    assert poly({0: 0, 3: 0}).is_zero
+    assert not poly({0: 0, 3: 0})
     assert coeffs(ZERO) == {}
     assert not ZERO
 
@@ -54,8 +53,11 @@ def test_basic_arithmetic():
 def test_negative_exponents():
     p = poly({-1: 1, 1: 1})
     assert p * T == poly({0: 1, 2: 1})
-    assert p.evaluate(2) == Fraction(5, 2)
-    assert p.evaluate(-1) == -2
+    assert (p * T).evaluate(2) == 5
+    # refused at 2, where t + 1/t is 5/2, and at -1, where it is the integer -2
+    for x in (2, -1):
+        with pytest.raises(ValueError):
+            p.evaluate(x)
 
 
 def test_shift_and_scale():
@@ -115,13 +117,14 @@ def test_ring_laws(p, q, r):
 
 @given(laurent_polys, laurent_polys)
 def test_multiplication_divides_back(p, q):
-    if q.is_zero:
+    if not q:
         return
     assert (p * q).exact_div(q) == p
 
 
 @given(laurent_polys, st.sampled_from([-3, -2, -1, 1, 2, 3]))
 def test_evaluation_is_ring_homomorphism(p, x):
+    p = p.shifted(-p.low)  # only non-negative exponents evaluate
     q = p * p + p
     assert q.evaluate(x) == p.evaluate(x) * p.evaluate(x) + p.evaluate(x)
 
@@ -182,7 +185,7 @@ def test_product_coefficient_at_the_slot_bound(length, bits):
     p = poly({i: c for i in range(length)})
     assert length > SCHOOLBOOK_MAX
     assert (length * c * c).bit_length() % 8 == 0
-    assert (p * p).coefficient(length - 1) == length * c * c
+    assert (p * p).terms[length - 1] == length * c * c
     assert p * p == schoolbook_product(p, p)
     assert p * -p == schoolbook_product(p, -p)
 
@@ -313,4 +316,4 @@ def test_dense_form_matches_mapping(p):
     assert LaurentPolynomial(coeffs(p)) == p
     assert hash(LaurentPolynomial(coeffs(p))) == hash(p)
     assert p.to_pairs() == tuple(sorted(coeffs(p).items()))
-    assert (p.min_exp, p.max_exp) == (min(coeffs(p)), max(coeffs(p)))
+    assert (p.low, p.low + len(p.terms) - 1) == (min(coeffs(p)), max(coeffs(p)))

@@ -19,7 +19,7 @@ from braidlink.matrices import (
 )
 from braidlink.seifert import seifert_matrix, symmetrized_determinant
 from strategies import braid_words
-from test_seifert import column_major_seifert
+from test_seifert import column_major_seifert, dense_rows
 
 
 def bareiss_determinant_int(rows):
@@ -134,8 +134,8 @@ def test_integer_matrix_type():
     m = IntegerMatrix(3, ((0, 1, 1), (1, 0, -1), (1, 1, 2)))
     assert m.nrows == 3
     assert m.entries == ((0, 1, 1), (1, 0, -1), (1, 1, 2))
-    assert m.rows == ((0, 1, 0), (-1, 2, 0), (0, 0, 0))
-    assert IntegerMatrix(0, ()).rows == ()
+    assert dense_rows(m) == ((0, 1, 0), (-1, 2, 0), (0, 0, 0))
+    assert dense_rows(IntegerMatrix(0, ())) == ()
 
 
 # -- sparse elimination with lazy scaling ------------------------------------

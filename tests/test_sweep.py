@@ -4,12 +4,14 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from braidlink.braids import braid_text, exponent_sum
+from braidlink import geometry
+from braidlink.braids import braid_text, components_of_antipodal_closure, exponent_sum
 from braidlink.fixtures import (
     infinity_half_braid,
     reference_braids,
 )
 from braidlink.geometry import (
+    Point3,
     SmoothingChoice,
     apply_smoothing,
     build_configuration,
@@ -170,6 +172,43 @@ def test_direction_order_matches_the_comparator_oracle(start, directions):
     by_key = sorted(reps, key=reps.__getitem__)
     assert by_key == sorted(reps, key=cmp_to_key(_angle_compare(start)))
     assert by_key[0] == own
+
+
+# -- the axis braid from the same sweep, in a chart that swaps L and L' --------
+# The projective map [x:y:z:w] -> [z:w:x:y] is an even permutation of the
+# coordinates, so it preserves orientation, and it exchanges the z-axis L
+# with the line at infinity L' of the planes z = const.  In the chart it is
+# (x, y, z) -> (z/y, 1/y, x/y), scaled by 3 so that the eight double points
+# stay integral.  Sweeping the image configuration makes L the ninth strand:
+# the braid the repository names after the vertical axis.
+
+
+def swap_axis_and_infinity(p):
+    coordinates = (3 * p.z, 3, 3 * p.x)
+    assert all(c % p.y == 0 for c in coordinates)
+    return Point3(*(c // p.y for c in coordinates))
+
+
+@pytest.mark.parametrize(
+    "smoothing, name",
+    [(SmoothingChoice.paper(), "axis"), (SmoothingChoice.all_positive(), "axis_all_positive")],
+    ids=["paper", "all-positive"],
+)
+def test_axis_braid_from_the_swapped_chart(monkeypatch, smoothing, name):
+    points = {label: swap_axis_and_infinity(p) for label, p in geometry.base_points().items()}
+    assert points["p0"] == Point3(3, -3, -9) and points["q0"] == Point3(3, 3, 9)
+    assert points["p1"] == Point3(-1, 1, 1)
+    # the double points keep their names, so a smoothing resolves the same ones
+    monkeypatch.setattr(geometry, "base_points", lambda: points)
+    swapped = build_configuration()
+    events = apply_smoothing(project_crossings(swapped, OXY), smoothing)
+    word = sweep_full_turn(swapped, events)
+    points_at = (-1, 2, 3, 5)
+    stored = getattr(reference_braids(), name)
+    assert full_report(word, points_at) == full_report(stored, points_at)
+    half = sweep_half_turn(swapped, events)
+    anti = components_of_antipodal_closure(half)
+    assert sorted(len(anti.strands_in(c)) for c in range(anti.component_count)) == [1, 8]
 
 
 def test_sweep_word_text(lines, oxy_events):
