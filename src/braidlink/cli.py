@@ -104,12 +104,13 @@ def _read_tokens(stream) -> str:
         size += len(chunk)
         if size > MAX_CHARS:
             raise BraidParseError(f"braid text has more than {MAX_CHARS} characters")
-        tokens += (partial + chunk).replace(",", " ").split()
-        partial = "" if chunk[-1] == "," or chunk[-1].isspace() else tokens.pop()
+        new = (partial + chunk).replace(",", " ").split()
+        partial = "" if chunk[-1] == "," or chunk[-1].isspace() else new.pop()
+        tokens += new
         # Every token but a leading B<n> header is at least one letter.
         if len(tokens) + bool(partial) > MAX_LETTERS + 1:
             raise BraidParseError(f"braid has more than {MAX_LETTERS} letters")
-        if len(partial) > MAX_TOKEN:
+        if any(len(token) > MAX_TOKEN for token in (*new, partial)):
             raise BraidParseError(f"token of more than {MAX_TOKEN} characters is too long")
     return " ".join(tokens + [partial])
 

@@ -17,11 +17,11 @@ coefficients to ``slot_width``, and no float is involved.  That gives 1,
 2, 4 or 8 bytes where it can, since struct converts a whole list of
 two's-complement slots at those widths in C; flipping each slot's top bit
 adds 2**(8*width-1) to it.  Wider slots take a per-coefficient loop.
-Products of two polynomials that both have more than ``SCHOOLBOOK_MAX``
-terms are one packed multiplication, at the width of the bound
-min(terms) * max|f_i| * max|g_j| on their coefficients; the Burau product
-(burau.py) keeps its matrix entries packed, and det(B - I) is taken at one
-packed point wherever a Hadamard bound certifies a slot of at most 4 bytes.
+Every product of two polynomials is one packed multiplication, at the
+width of the bound min(terms) * max|f_i| * max|g_j| on their coefficients;
+the Burau product (burau.py) keeps its matrix entries packed, and
+det(B - I) is taken at one packed point wherever a Hadamard bound certifies
+a slot of at most 4 bytes.
 
 Exact division is one packed divmod, at the width of the larger of
 max|dividend| and max|divisor|, and one read-back.  A remainder proves it
@@ -39,13 +39,7 @@ import struct
 from functools import lru_cache
 from math import comb, isqrt
 from operator import add, mul, neg, sub
-from typing import Mapping, Sequence
-
-# Factors with at most this many terms are multiplied term by term.  Against
-# a 9-term factor the loop wins up to 4 terms, ties at 5 and 6 and loses from
-# 7 (timeit, CPython 3.11).  A cutoff of 6 or 7 made the Alexander
-# polynomials of the 9-strand benchmark words about 1% slower; 8 did not.
-SCHOOLBOOK_MAX = 8
+from typing import Sequence
 
 
 class LaurentPolynomial:
@@ -54,23 +48,7 @@ class LaurentPolynomial:
     low: int  # exponent of terms[0]; 0 for the zero polynomial
     terms: tuple[int, ...]  # coefficients of t**low, t**(low+1), ...
 
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        low, dense = 0, []
-        if coeffs:
-            for exp, c in coeffs.items():
-                if not isinstance(exp, int) or not isinstance(c, int):
-                    raise TypeError("exponents and coefficients must be int")
-            support = [exp for exp, c in coeffs.items() if c]
-            if support:
-                low = min(support)
-                dense = [0] * (max(support) - low + 1)
-                for exp in support:
-                    dense[exp - low] = coeffs[exp]
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "terms", tuple(dense))
-
-    @classmethod
-    def _dense(cls, low: int, terms) -> "LaurentPolynomial":
+    def __init__(self, low: int, terms: Sequence[int]):
         """The polynomial sum(terms[i] * t**(low + i)); trims zero ends."""
         if not (terms and terms[0] and terms[-1]):
             start, end = 0, len(terms)
@@ -79,10 +57,8 @@ class LaurentPolynomial:
             while end > start and not terms[end - 1]:
                 end -= 1
             low, terms = (low + start, terms[start:end]) if start < end else (0, ())
-        p = object.__new__(cls)
-        _set_low(p, low)
-        _set_terms(p, tuple(terms))
-        return p
+        _set_low(self, low)
+        _set_terms(self, tuple(terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
@@ -108,48 +84,27 @@ class LaurentPolynomial:
         return low, a, b
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
         low, a, b = self._aligned(other)
-        return LaurentPolynomial._dense(low, list(map(add, a, b)))
+        return LaurentPolynomial(low, list(map(add, a, b)))
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial._dense(self.low, list(map(neg, self.terms)))
+        return LaurentPolynomial(self.low, list(map(neg, self.terms)))
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        if not other.terms:
-            return self
-        if not self.terms:
-            return -other
         low, a, b = self._aligned(other)
-        return LaurentPolynomial._dense(low, list(map(sub, a, b)))
+        return LaurentPolynomial(low, list(map(sub, a, b)))
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         a, b = self.terms, other.terms
         if not a or not b:
             return ZERO
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) > SCHOOLBOOK_MAX:
-            return _kronecker_product(a, b, self.low + other.low)
-        if len(a) == 1:
-            c = a[0]
-            product = [c * x for x in b]
-        else:
-            product = [0] * (len(a) + len(b) - 1)
-            for i, c in enumerate(a):
-                if c:
-                    for j, x in enumerate(b, i):
-                        product[j] += c * x
-        return LaurentPolynomial._dense(self.low + other.low, product)
+        width = slot_width(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
+        packed = kronecker_pack(a, width) * kronecker_pack(b, width)
+        return kronecker_unpack(packed, width, self.low + other.low)
 
     def shifted(self, k: int) -> "LaurentPolynomial":
         """Multiply by t**k."""
-        if not self.terms:
-            return self
-        return LaurentPolynomial._dense(self.low + k, self.terms)
+        return LaurentPolynomial(self.low + k, self.terms)
 
     # -- evaluation ------------------------------------------------------
 
@@ -228,13 +183,6 @@ _set_low = LaurentPolynomial.low.__set__
 _set_terms = LaurentPolynomial.terms.__set__
 
 
-def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...], low: int) -> LaurentPolynomial:
-    """The product of the polynomials with dense coefficient tuples a and b,
-    times t**low, by one big-integer multiplication."""
-    width = slot_width(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
-    return kronecker_unpack(kronecker_pack(a, width) * kronecker_pack(b, width), width, low)
-
-
 # Slot widths in bytes that struct converts a whole coefficient list at.
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
@@ -287,15 +235,15 @@ def kronecker_unpack(value: int, width: int, low: int) -> LaurentPolynomial:
             int.from_bytes(twos[i : i + width], "little", signed=True)
             for i in range(0, width * size, width)
         ]
-    return LaurentPolynomial._dense(low, coeffs)
+    return LaurentPolynomial(low, coeffs)
 
 
-ZERO = LaurentPolynomial()
-ONE = LaurentPolynomial({0: 1})
+ZERO = LaurentPolynomial(0, ())
+ONE = LaurentPolynomial(0, (1,))
 
 
 def geometric_sum(n: int) -> LaurentPolynomial:
     """1 + t + ... + t**(n-1)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return LaurentPolynomial._dense(0, (1,) * n)
+    return LaurentPolynomial(0, (1,) * n)

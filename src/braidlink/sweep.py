@@ -60,7 +60,9 @@ def strand_order(
     keyed = [((0, 0), INFINITY_LABEL)]
     for line in projected:
         moment = cross(line.base, line.step)
-        w = Fraction(-cross(direction, line.step), moment)
+        if not moment:  # the Oxy image passes through the origin
+            raise SweepError(f"line {line.label} meets the axis L")
+        w =Fraction(-cross(direction, line.step), moment)
         w_tie = Fraction(-cross(clockwise, line.step), moment)
         keyed.append(((w, w_tie), line.label))
     keyed.sort()

@@ -2,6 +2,8 @@
 the sizes it records are the library's own; its traced CLI records every
 library call a request makes; and its own self-test passes."""
 
+import hashlib
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -91,9 +93,24 @@ def test_traced_cli_wraps_every_library_call(argv, capsys):
     assert capsys.readouterr().out
 
 
-def test_benchmark_selftest_passes():
-    # bench/selftest.py runs every workload on a tiny corpus, in about 2 s
+def digests(directory):
+    """{name: SHA-256} of the files in directory."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.glob("*")}
+
+
+def test_benchmark_selftest_passes(tmp_path):
+    # bench/selftest.py runs every workload on a tiny corpus, in about 2 s.  It
+    # runs on a copy of bench/, so the span files that a real run left in the
+    # checkout's bench/out stay as they are.
+    out = digests(BENCH / "out")
+    copy = tmp_path / "bench"
+    copy.mkdir()
+    for path in [*BENCH.glob("*.py"), BENCH / "digests.json"]:
+        shutil.copy(path, copy)
+    shutil.copy(BENCH.parent / "BENCHMARK.json", tmp_path)
+    (tmp_path / "src").symlink_to(BENCH.parent / "src")
     done = subprocess.run(
-        [sys.executable, str(BENCH / "selftest.py")], capture_output=True, text=True, timeout=300
+        [sys.executable, str(copy / "selftest.py")], capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stdout + done.stderr
+    assert digests(BENCH / "out") == out

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import braidlink
 from braidlink.braids import BraidParseError, BraidWord, parse_braid
-from braidlink.cli import MAX_CHARS, MAX_LETTERS, MAX_TOKEN, main, run_paper_checks
+from braidlink.cli import CHUNK, MAX_CHARS, MAX_LETTERS, MAX_TOKEN, main, run_paper_checks
 from braidlink.fixtures import reference_braids
 from braidlink.laurent import LaurentPolynomial
 
@@ -381,6 +381,24 @@ def test_letter_limit_refuses_a_long_file_unparsed(capsys, monkeypatch, tmp_path
     assert code == 2
     assert out == ""
     assert err == f"error: braid has more than {MAX_LETTERS} letters\n"
+
+
+@pytest.mark.parametrize("source", ["argv", "file"])
+@pytest.mark.parametrize(
+    "before, after",
+    [("", " 1 1"), ("1 ", " 1"), ("1 1 ", ""), (" " * (CHUNK - 8), " 1")],
+    ids=["first", "middle", "last", "across-chunks"],
+)
+def test_token_limit_refuses_a_long_token_anywhere(
+    capsys, monkeypatch, tmp_path, source, before, after
+):
+    text = "B2 " + before + "9" * (MAX_TOKEN + 1) + after
+    path = tmp_path / "word.txt"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr("braidlink.cli.parse_braid", lambda text: pytest.fail("parsed"))
+    code, out, err = run(capsys, "invariants", text if source == "argv" else f"@{path}")
+    assert (code, out) == (2, "")
+    assert err == f"error: token of more than {MAX_TOKEN} characters is too long\n"
 
 
 @pytest.mark.parametrize(

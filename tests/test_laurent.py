@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from braidlink.laurent import (
     ONE,
-    SCHOOLBOOK_MAX,
     ZERO,
     LaurentPolynomial,
     geometric_sum,
@@ -16,11 +15,19 @@ from braidlink.laurent import (
 )
 
 
-T = LaurentPolynomial({1: 1})
+T = LaurentPolynomial(1, (1,))
 
 
 def poly(pairs):
-    return LaurentPolynomial(dict(pairs))
+    """The polynomial with these {exponent: coefficient} terms."""
+    support = {e: c for e, c in dict(pairs).items() if c}
+    if not support:
+        return ZERO
+    low = min(support)
+    terms = [0] * (max(support) - low + 1)
+    for e, c in support.items():
+        terms[e - low] = c
+    return LaurentPolynomial(low, terms)
 
 
 def coeffs(p):
@@ -32,7 +39,7 @@ laurent_polys = st.dictionaries(
     st.integers(min_value=-6, max_value=6),
     st.integers(min_value=-9, max_value=9),
     max_size=6,
-).map(LaurentPolynomial)
+).map(poly)
 
 
 def test_zero_polynomial_is_empty_map():
@@ -139,7 +146,7 @@ def schoolbook_product(p, q):
     for e1, c1 in coeffs(p).items():
         for e2, c2 in coeffs(q).items():
             out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return LaurentPolynomial(out)
+    return poly(out)
 
 
 coefficients = st.one_of(
@@ -147,28 +154,27 @@ coefficients = st.one_of(
     st.integers(min_value=-(2**130), max_value=2**130),
     st.sampled_from([2**64, 2**64 + 1, -(2**64), -(2**64) - 1, 2**63 - 1, -(2**63)]),
 )
-# Up to five times the schoolbook cutoff, so both sides of it are drawn.
 dense_polys = st.builds(
-    lambda low, terms: LaurentPolynomial({low + i: c for i, c in enumerate(terms)}),
+    LaurentPolynomial,
     st.integers(min_value=-30, max_value=30),
-    st.lists(coefficients, min_size=1, max_size=5 * SCHOOLBOOK_MAX),
+    st.lists(coefficients, min_size=1, max_size=40),
 ).filter(bool)
 
 
 def test_coefficients_above_two_to_the_64():
     big = 2**64 + 3
-    p = poly({e: (-1) ** (e % 2) * big ** (e % 3) for e in range(-3, 2 * SCHOOLBOOK_MAX)})
-    q = poly({e: big * (e % 4) - e for e in range(2 * SCHOOLBOOK_MAX)})
-    assert len(p.terms) > SCHOOLBOOK_MAX and len(q.terms) > SCHOOLBOOK_MAX
+    p = poly({e: (-1) ** (e % 2) * big ** (e % 3) for e in range(-3, 16)})
+    q = poly({e: big * (e % 4) - e for e in range(16)})
     assert p * q == schoolbook_product(p, q)
     assert (p * q).exact_div(q) == p
 
 
-# Lengths on both sides of the cutoff, and fixed lengths well past it.
-@pytest.mark.parametrize(
-    "m", sorted({1, SCHOOLBOOK_MAX, SCHOOLBOOK_MAX + 1, 3 * SCHOOLBOOK_MAX, 16, 17, 48})
-)
-@pytest.mark.parametrize("n", sorted({SCHOOLBOOK_MAX, SCHOOLBOOK_MAX + 1, 16, 17, 40}))
+# Short factors, and lengths on both sides of 8 and of 16 terms.
+LENGTHS = (1, 2, 8, 9, 16, 17, 24, 40, 48)
+
+
+@pytest.mark.parametrize("m", LENGTHS)
+@pytest.mark.parametrize("n", LENGTHS)
 def test_lengths_around_the_schoolbook_cutoff(m, n):
     p = poly({-2 + i: (-1) ** i * (i + 1) ** 9 for i in range(m)})
     q = poly({-5 + i: (-3) ** (i % 7) - 2**70 * (i % 2) for i in range(n)})
@@ -183,7 +189,6 @@ def test_product_coefficient_at_the_slot_bound(length, bits):
     exactly on the bound the slot width is chosen from."""
     c = 2**bits
     p = poly({i: c for i in range(length)})
-    assert length > SCHOOLBOOK_MAX
     assert (length * c * c).bit_length() % 8 == 0
     assert (p * p).terms[length - 1] == length * c * c
     assert p * p == schoolbook_product(p, p)
@@ -205,7 +210,7 @@ def test_pack_unpack_round_trip(width):
     ):
         packed = kronecker_pack(terms, width)
         assert packed == sum(c * 2 ** (8 * width * i) for i, c in enumerate(terms))
-        expected = LaurentPolynomial({i - 3: c for i, c in enumerate(terms)})
+        expected = poly({i - 3: c for i, c in enumerate(terms)})
         assert kronecker_unpack(packed, width, -3) == expected
     assert kronecker_unpack(0, width, 5) == ZERO
     for digits in ([top + 1], [0, -top - 2], [1, 2**200, 3]):
@@ -225,7 +230,7 @@ def test_pack_unpack_round_trip(width):
 )
 def test_pack_unpack_round_trip_drawn(width_and_terms, low):
     width, terms = width_and_terms
-    expected = LaurentPolynomial({low + i: c for i, c in enumerate(terms)})
+    expected = poly({low + i: c for i, c in enumerate(terms)})
     assert kronecker_unpack(kronecker_pack(terms, width), width, low) == expected
 
 
@@ -288,7 +293,7 @@ def schoolbook_exact_div(p, q):
             f[j] -= lead * c
     if any(f):
         raise ValueError("division is not exact (nonzero remainder)")
-    return LaurentPolynomial({p.low - q.low + i: c for i, c in enumerate(quotient)})
+    return poly({p.low - q.low + i: c for i, c in enumerate(quotient)})
 
 
 @settings(max_examples=150)
@@ -310,10 +315,35 @@ def test_exact_division_rejects_a_perturbed_product(p, q, exp):
             divide(f, q)
 
 
-@given(dense_polys)
-def test_dense_form_matches_mapping(p):
-    assert p.terms[0] != 0 and p.terms[-1] != 0
-    assert LaurentPolynomial(coeffs(p)) == p
-    assert hash(LaurentPolynomial(coeffs(p))) == hash(p)
-    assert p.to_pairs() == tuple(sorted(coeffs(p).items()))
-    assert (p.low, p.low + len(p.terms) - 1) == (min(coeffs(p)), max(coeffs(p)))
+@given(
+    st.integers(min_value=-30, max_value=30),
+    st.lists(st.one_of(st.just(0), coefficients), max_size=12),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+)
+def test_dense_form_matches_mapping(low, terms, lead, trail):
+    """The constructor's normal form: zero ends trimmed on either side, the
+    zero polynomial at low 0, and equal polynomials hash equal."""
+    support = {low + i: c for i, c in enumerate(terms) if c}
+    p = LaurentPolynomial(low - lead, [0] * lead + terms + [0] * trail)
+    assert coeffs(p) == support
+    assert p.to_pairs() == tuple(sorted(support.items()))
+    if support:
+        assert p.terms[0] != 0 and p.terms[-1] != 0
+        assert (p.low, p.low + len(p.terms) - 1) == (min(support), max(support))
+    else:
+        assert (p.low, p.terms) == (0, ()) and p == ZERO
+    q = LaurentPolynomial(low, terms)
+    assert p == q == poly(support)
+    assert hash(p) == hash(q) == hash(poly(support))
+
+
+@pytest.mark.parametrize("low", [-1000, -7, 7, 1000])
+def test_zero_operands(low):
+    """Sums, differences and products with ZERO, far from exponent 0."""
+    p = LaurentPolynomial(low, (3, 0, -2))
+    assert (p + ZERO, ZERO + p, p - ZERO) == (p, p, p)
+    assert ZERO - p == -p == LaurentPolynomial(low, (-3, 0, 2))
+    assert ZERO * p == p * ZERO == ZERO
+    assert ((ZERO * p).low, (ZERO * p).terms) == (0, ())
+    assert ZERO - ONE == -ONE == LaurentPolynomial(0, (-1,))

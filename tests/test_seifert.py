@@ -91,7 +91,7 @@ def seifert_alexander_rows(data):
     v = dense_rows(data.matrix)
     m = len(v)
     return [
-        [LaurentPolynomial({0: v[i][j], 1: -v[j][i]}) for j in range(m)]
+        [LaurentPolynomial(0, (v[i][j], -v[j][i])) for j in range(m)]
         for i in range(m)
     ]
 

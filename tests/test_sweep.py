@@ -13,10 +13,12 @@ from braidlink.fixtures import (
 from braidlink.geometry import (
     Point3,
     SmoothingChoice,
+    SpaceLine,
     apply_smoothing,
     build_configuration,
     half_turn_direction,
     project_crossings,
+    project_line,
     OXY,
 )
 from braidlink.invariants import full_report
@@ -63,8 +65,6 @@ def test_q0_choice_toggles_exponent_sum_by_two_per_half_turn(lines, oxy_events):
 
 
 def test_strand_order_at_start(lines):
-    from braidlink.geometry import project_line
-
     projected = [project_line(line, OXY) for line in lines]
     order = strand_order(projected, (1, 0))
     # just before horizontal: positive ray outward, infinity, negative ray
@@ -74,6 +74,17 @@ def test_strand_order_at_start(lines):
 def test_sweep_rejects_unresolved_double_points(lines, oxy_events):
     with pytest.raises(SweepError):
         sweep_half_turn(lines, oxy_events)
+
+
+def test_sweep_rejects_a_line_that_meets_the_axis(lines):
+    # m passes through (0, 0, 7) on L, so its Oxy image passes through the origin
+    with_m = lines + (SpaceLine("m", Point3(0, 0, 7), Point3(1, 2, 5)),)
+    events = apply_smoothing(project_crossings(with_m, OXY), SmoothingChoice.paper())
+    projected = [project_line(line, OXY) for line in with_m]
+    with pytest.raises(SweepError, match="line m meets the axis L"):
+        strand_order(projected, (1, 0))
+    with pytest.raises(SweepError, match="line m meets the axis L"):
+        sweep_half_turn(with_m, events)
 
 
 # Full-turn words of the paper smoothing from other start directions: the
