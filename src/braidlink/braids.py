@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 
 class BraidParseError(ValueError):
@@ -34,31 +33,20 @@ class BraidWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
 
 @dataclass(frozen=True)
 class StrandComponentMap:
-    """Assignment of closure components to strands.
+    """Closure components as the cycles of the closure permutation, as
+    `cycles` returns them: component c is cycles[c], ordered by least strand."""
 
-    Component ids are 0..component_count-1, ordered by least strand index.
-    """
+    cycles: tuple[tuple[int, ...], ...]
 
-    component_of_strand: tuple[int, ...]
-    component_count: int
-
-    def __post_init__(self):
-        used = set(self.component_of_strand)
-        if used != set(range(self.component_count)):
-            raise ValueError("component ids must be exactly 0..count-1, all used")
+    @property
+    def component_count(self) -> int:
+        return len(self.cycles)
 
     def strands_in(self, component: int) -> tuple[int, ...]:
-        return tuple(
-            s + 1
-            for s, c in enumerate(self.component_of_strand)
-            if c == component
-        )
+        return tuple(sorted(self.cycles[component]))
 
 
 # -- parsing and printing -------------------------------------------------
@@ -121,8 +109,6 @@ def parse_braid(text: str) -> BraidWord:
         raise BraidParseError(f"malformed token {tok!r}")
 
     if declared is None:
-        if not letters:
-            raise BraidParseError("empty word with no header: strand count undeterminable")
         declared = 1 + max(abs(e) for e in letters)
     for e in letters:
         if abs(e) > declared - 1:
@@ -228,18 +214,9 @@ def cycles(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _components_of(images: tuple[int, ...]) -> StrandComponentMap:
-    orbits = cycles(images)
-    component_of_strand = [0] * len(images)
-    for cid, cycle in enumerate(orbits):
-        for strand in cycle:
-            component_of_strand[strand - 1] = cid
-    return StrandComponentMap(tuple(component_of_strand), len(orbits))
-
-
 def components(word: BraidWord) -> StrandComponentMap:
     """Closure components: cycles of the closure permutation."""
-    return _components_of(closure_permutation(word))
+    return StrandComponentMap(cycles(closure_permutation(word)))
 
 
 def components_of_antipodal_closure(half_word: BraidWord) -> StrandComponentMap:
@@ -250,7 +227,7 @@ def components_of_antipodal_closure(half_word: BraidWord) -> StrandComponentMap:
     covers this one.
     """
     n = half_word.strand_count
-    return _components_of(tuple(n + 1 - p for p in closure_permutation(half_word)))
+    return StrandComponentMap(cycles(tuple(n + 1 - p for p in closure_permutation(half_word))))
 
 
 def linking_matrix(word: BraidWord) -> tuple[tuple[int, ...], ...]:
@@ -261,11 +238,12 @@ def linking_matrix(word: BraidWord) -> tuple[tuple[int, ...], ...]:
     entries are 0 by convention.
     """
     comp = components(word)
+    component_of = {s: c for c, cycle in enumerate(comp.cycles) for s in cycle}
     k = comp.component_count
     twice = [[0] * k for _ in range(k)]
     for s1, s2, sign in crossing_strands(word):
-        c1 = comp.component_of_strand[s1 - 1]
-        c2 = comp.component_of_strand[s2 - 1]
+        c1 = component_of[s1]
+        c2 = component_of[s2]
         if c1 != c2:
             twice[c1][c2] += sign
             twice[c2][c1] += sign

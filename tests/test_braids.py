@@ -173,10 +173,46 @@ def test_closure_permutation_composes(a, b):
 def test_components_fixtures():
     hopf = components(BraidWord(2, (1, 1)))
     assert hopf.component_count == 2
-    assert hopf.component_of_strand[0] != hopf.component_of_strand[1]
+    assert hopf.cycles == ((1,), (2,))
     assert components(BraidWord(2, (1,))).component_count == 1
     unlink = components(BraidWord(2, ()))
     assert unlink.component_count == 2
+
+
+def component_of_strand(images):
+    """Strand s -> component id, numbered by least strand: each strand is
+    merged with its image, and a class is named by its least strand."""
+    root = list(range(len(images) + 1))
+
+    def find(s):
+        while root[s] != s:
+            s = root[s]
+        return s
+
+    for s, image in enumerate(images, start=1):
+        a, b = find(s), find(image)
+        root[max(a, b)] = min(a, b)
+    least = sorted({find(s) for s in range(1, len(images) + 1)})
+    return tuple(least.index(find(s)) for s in range(1, len(images) + 1))
+
+
+@given(braid_words(max_strands=8, max_len=30))
+def test_components_partition_the_strands(word):
+    # both closures against the strand -> component map as the oracle
+    n = word.strand_count
+    ordinary = closure_permutation(word)
+    antipodal = tuple(n + 1 - p for p in ordinary)
+    for comp, images in (
+        (components(word), ordinary),
+        (components_of_antipodal_closure(word), antipodal),
+    ):
+        parts = [comp.strands_in(c) for c in range(comp.component_count)]
+        assert sorted(s for part in parts for s in part) == list(range(1, n + 1))
+        assert all(list(part) == sorted(part) for part in parts)
+        assert [part[0] for part in parts] == sorted(part[0] for part in parts)
+        oracle = component_of_strand(images)
+        assert comp.component_count == len(set(oracle))
+        assert all(oracle[s - 1] == c for c, part in enumerate(parts) for s in part)
 
 
 @given(braid_words())

@@ -300,8 +300,14 @@ FUZZ_OPTIONS = {
 # braid texts stay at n <= 6 or go past the strand or letter limit, which
 # main refuses at once
 OVER_LIMIT = ["B1001 1", "9" * 40]
-# one letter over the limit, and 16,000 letters, which would run for minutes
-OVER_LETTER_LIMIT = ["B3 " + "1 " * (MAX_LETTERS + 1), "B3 " + "1 -2 " * 8000]
+# one letter over the limit, and 16,000 letters, which would run for minutes;
+# then one letter over with no header and in D45 macros, which the reader
+# admits (at most MAX_LETTERS + 1 tokens), so only the parsed word's check
+# refuses them
+OVER_LETTER_LIMIT = [
+    "B3 " + "1 " * (MAX_LETTERS + 1), "B3 " + "1 -2 " * 8000,
+    "1 " * (MAX_LETTERS + 1), "B6 " + "D45 " * (MAX_LETTERS // 3 + 1),
+]
 FUZZ_WORDS = [
     "B1", "B2 1 1 1", "B3 1 -2 1 -2", "B4 1 3", "B6 5 -5 1", "1 1 1", "B3 7", "zz", "",
     *OVER_LIMIT, *OVER_LETTER_LIMIT,
@@ -363,7 +369,9 @@ def test_strand_limit_admits_its_bound(capsys):
 
 
 @pytest.mark.parametrize("source", ["argv", "stdin"])
-@pytest.mark.parametrize("text", OVER_LETTER_LIMIT, ids=["one-over", "16000"])
+@pytest.mark.parametrize(
+    "text", OVER_LETTER_LIMIT, ids=["one-over", "16000", "no-header", "macros"]
+)
 def test_letter_limit_exits_2_at_once(capsys, monkeypatch, source, text):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     code, out, err = run(capsys, "invariants", "-" if source == "stdin" else text)
@@ -435,6 +443,12 @@ def test_endless_stdin_exits_2_at_once(unit, error):
         writer.wait()
         writer.stdout.close()
     assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {error}\n")
+
+
+def test_zero_strand_header_exits_2(capsys):
+    code, out, err = run(capsys, "invariants", "B0")
+    assert (code, out) == (2, "")
+    assert err == "error: strand count must be positive\n"
 
 
 def test_letter_limit_admits_its_bound(capsys):

@@ -1,3 +1,5 @@
+import re
+from dataclasses import replace
 from functools import cmp_to_key
 from math import gcd
 
@@ -74,6 +76,39 @@ def test_strand_order_at_start(lines):
 def test_sweep_rejects_unresolved_double_points(lines, oxy_events):
     with pytest.raises(SweepError):
         sweep_half_turn(lines, oxy_events)
+
+
+# Each edit of the smoothed Oxy events breaks one genericity condition of the
+# sweep: events[0] is the ("l'1", "l'2") crossing at (1, 0), whose strand order
+# there is l'3 l'0 l0 l3 L' l1 l2 l'2 l'1, and events[2] is the triple with L'.
+NON_GENERIC_EDITS = {
+    "at-origin": (
+        lambda events: [replace(events[0], angle=None), *events[1:]],
+        "event at the scan origin cannot be swept",
+    ),
+    "listed-twice": (
+        lambda events: [*events, events[0]],
+        "overlapping simultaneous events at direction (1, 0)",
+    ),
+    "not-adjacent": (
+        lambda events: [replace(events[0], labels=("l'1", "l'3")), *events[1:]],
+        "event strands not adjacent at direction (1, 0)",
+    ),
+    "triple-middle": (
+        lambda events: [*events[:2], replace(events[2], labels=("l0", "l3", "L'")), *events[3:]],
+        "triple crossing without the infinity strand in the middle",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_GENERIC_EDITS))
+def test_sweep_rejects_non_generic_events(lines, oxy_events, name):
+    smoothed = apply_smoothing(oxy_events, SmoothingChoice.paper())
+    assert smoothed[0].labels == ("l'1", "l'2") and smoothed[0].angle == (1, 0)
+    assert smoothed[2].kind == "at_infinity" and smoothed[2].labels == ("l1", "l3", "L'")
+    edit, message = NON_GENERIC_EDITS[name]
+    with pytest.raises(SweepError, match=re.escape(message)):
+        sweep_half_turn(lines, edit(smoothed))
 
 
 def test_sweep_rejects_a_line_that_meets_the_axis(lines):
