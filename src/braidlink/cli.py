@@ -83,16 +83,23 @@ MAX_CHARS = (MAX_LETTERS + 1) * (MAX_TOKEN + 1)
 CHUNK = 1 << 16  # characters read from a word stream at a time
 
 
+class UsageError(Exception):
+    """Input the CLI refuses: main prints it as `error: ...` and exits 2."""
+
+
 def _read_text(argument: str) -> str:
     """The braid text WORD names, its tokens joined by spaces.  A stream is
     read a chunk at a time and refused once it is past a limit: more tokens
     than MAX_LETTERS + 1, a token longer than MAX_TOKEN, or more characters
     than MAX_CHARS.  So a stream that never ends is refused too."""
-    if argument == "-":
-        return _read_tokens(sys.stdin)
-    if argument.startswith("@"):
-        with open(argument[1:], "r", encoding="utf-8") as handle:
-            return _read_tokens(handle)
+    try:
+        if argument == "-":
+            return _read_tokens(sys.stdin)
+        if argument.startswith("@"):
+            with open(argument[1:], "r", encoding="utf-8") as handle:
+                return _read_tokens(handle)
+    except (OSError, UnicodeDecodeError) as err:
+        raise UsageError(err) from err
     return _read_tokens(io.StringIO(argument))
 
 
@@ -103,15 +110,15 @@ def _read_tokens(stream) -> str:
     while chunk := stream.read(CHUNK):
         size += len(chunk)
         if size > MAX_CHARS:
-            raise BraidParseError(f"braid text has more than {MAX_CHARS} characters")
+            raise UsageError(f"braid text has more than {MAX_CHARS} characters")
         new = (partial + chunk).replace(",", " ").split()
         partial = "" if chunk[-1] == "," or chunk[-1].isspace() else new.pop()
         tokens += new
         # Every token but a leading B<n> header is at least one letter.
         if len(tokens) + bool(partial) > MAX_LETTERS + 1:
-            raise BraidParseError(f"braid has more than {MAX_LETTERS} letters")
+            raise UsageError(f"braid has more than {MAX_LETTERS} letters")
         if any(len(token) > MAX_TOKEN for token in (*new, partial)):
-            raise BraidParseError(f"token of more than {MAX_TOKEN} characters is too long")
+            raise UsageError(f"token of more than {MAX_TOKEN} characters is too long")
     return " ".join(tokens + [partial])
 
 
@@ -126,41 +133,24 @@ def _too_long_to_print(alexander: LaurentPolynomial, point: int) -> bool:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    try:
-        word = parse_braid(_read_text(args.word))
-    except (BraidParseError, OSError, UnicodeDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    word = parse_braid(_read_text(args.word))
     if word.strand_count > MAX_STRANDS:
-        print(f"error: braid has more than {MAX_STRANDS} strands", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"braid has more than {MAX_STRANDS} strands")
     if len(word) > MAX_LETTERS:
-        print(f"error: braid has more than {MAX_LETTERS} letters", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"braid has more than {MAX_LETTERS} letters")
     points = tuple(args.alexander_at) if args.alexander_at else (-1,)
     if -1 not in points:
         points = (-1,) + points
     alexander = alexander_polynomial(word)
     if any(_too_long_to_print(alexander, point) for point in points):
-        print("error: report value too large to print: past the digit limit", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("report value too large to print: past the digit limit")
     report = full_report(word, points, alexander)
     try:
         text = report_json(word, report) if args.json else report_text(word, report)
     except ValueError as err:  # an integer past the interpreter's str limit
-        print(f"error: report value too large to print: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"report value too large to print: {err}") from err
     print(text)
     return EXIT_OK
-
-
-def _curve_and_axis_components(word: BraidWord):
-    """Split closure components into the 4-strand curve lifts and the
-    single-strand axis component."""
-    comp = components(word)
-    singles = [c for c in range(comp.component_count) if len(comp.strands_in(c)) == 1]
-    curves = [c for c in range(comp.component_count) if len(comp.strands_in(c)) > 1]
-    return comp, curves, singles
 
 
 def run_paper_checks(braids: ReferenceBraids | None = None, out=None) -> int:
@@ -192,13 +182,14 @@ def run_paper_checks(braids: ReferenceBraids | None = None, out=None) -> int:
     )
 
     named = (("axis", braids.axis), ("infinity", braids.infinity))
-    closures = {name: _curve_and_axis_components(word) for name, word in named}
-    for name, (comp, _, _) in closures.items():
-        shape = sorted(len(comp.strands_in(c)) for c in range(comp.component_count))
+    # each closure component's strand count, by braid
+    closure_sizes = {name: [len(c) for c in components(word).cycles] for name, word in named}
+    for name, sizes in closure_sizes.items():
+        shape = sorted(sizes)
         check(
             f"{name} closure components",
-            comp.component_count == 3 and shape == [1, 4, 4],
-            f"{comp.component_count} components of sizes {shape} "
+            shape == [1, 4, 4],
+            f"{len(shape)} components of sizes {shape} "
             "(curve lift: two 4-strand circles, axis lift: one strand)",
         )
 
@@ -221,9 +212,10 @@ def run_paper_checks(braids: ReferenceBraids | None = None, out=None) -> int:
         f"{[list(r) for r in lk_axis]} vs {[list(r) for r in lk_inf]}",
     )
     totals = []
-    for (_, curves, singles), lk in zip(closures.values(), (lk_axis, lk_inf)):
-        total = sum(lk[c][singles[0]] for c in curves) if len(singles) == 1 else None
-        totals.append(total)
+    for sizes, lk in zip(closure_sizes.values(), (lk_axis, lk_inf)):
+        singles = [c for c, size in enumerate(sizes) if size == 1]
+        curves = [c for c, size in enumerate(sizes) if size > 1]
+        totals.append(sum(lk[c][singles[0]] for c in curves) if len(singles) == 1 else None)
     check(
         "curve-to-axis linking total",
         totals == [8, 8],
@@ -291,25 +283,20 @@ def cmd_paper(args: argparse.Namespace) -> int:
 def cmd_construct(args: argparse.Namespace) -> int:
     lines = build_configuration()
     projection = args.projection
+    if args.emit == "braid" and projection != "oxy":
+        raise UsageError("braid emission is defined for the oxy projection only")
+    name = args.smoothing or ("paper" if args.emit == "braid" else None)
+    smoothing = smoothing_named(name) if name is not None else None
+    if args.emit == "svg":
+        sys.stdout.write(emit_projection_svg(lines, projection, smoothing))
+        return EXIT_OK
+    events = project_crossings(lines, projection)
+    if smoothing is not None:
+        events = apply_smoothing(events, smoothing)
     if args.emit == "braid":
-        if projection != "oxy":
-            print("error: braid emission is defined for the oxy projection only",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        events = apply_smoothing(
-            project_crossings(lines, projection),
-            smoothing_named(args.smoothing or "paper"),
-        )
         print(braid_text(sweep_full_turn(lines, events)))
-        return EXIT_OK
-    if args.emit == "crossings":
-        events = project_crossings(lines, projection)
-        if args.smoothing is not None:
-            events = apply_smoothing(events, smoothing_named(args.smoothing))
+    else:
         print(crossings_json(events, projection))
-        return EXIT_OK
-    smoothing = smoothing_named(args.smoothing) if args.smoothing is not None else None
-    sys.stdout.write(emit_projection_svg(lines, projection, smoothing))
     return EXIT_OK
 
 
@@ -364,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
-    except BraidParseError as err:
+    except (UsageError, BraidParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

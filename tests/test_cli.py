@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import braidlink
+from braidlink import cli
 from braidlink.braids import BraidParseError, BraidWord, parse_braid
 from braidlink.cli import CHUNK, MAX_CHARS, MAX_LETTERS, MAX_TOKEN, main, run_paper_checks
 from braidlink.fixtures import reference_braids
@@ -488,6 +490,16 @@ STDOUT_SHA256 = [
      "a8701bbf3feb655f260d539060c034a713768505d043c2d63ca5598f5fd6294a"),
     (("construct", "--emit", "svg", "--projection", "oxy", "--smoothing", "paper"),
      "27a9ea0a49ebbcfc81fb285c05dd8fc1ff403a6edd5de338a4447bccc7c45e9a"),
+    (("construct", "--emit", "svg", "--projection", "oxy", "--smoothing", "all-positive"),
+     "4a197aa3ca7732ac31ae96bca9b30bb07ee3bec8facbf142e1e608c91fc31863"),
+    (("construct", "--emit", "crossings", "--projection", "oxz", "--smoothing", "paper"),
+     "b229de6fe96f1e41f171b5442531c49f6c523a8eb172e30f5f534d70ecdba4bb"),
+    (("construct", "--emit", "crossings", "--projection", "oxz", "--smoothing", "all-positive"),
+     "bfe27c50224ab7910d3a083f586b70143a406b10e67501d46ba11a7c30e1f516"),
+    (("construct", "--emit", "svg", "--projection", "oxz", "--smoothing", "paper"),
+     "4bc31a3559e48731eaec0f0ca95437c5582614d5656408e463711bb13ddfd5a1"),
+    (("construct", "--emit", "svg", "--projection", "oxz", "--smoothing", "all-positive"),
+     "4f5f25ced95becc5879e79e92cf8f37c3ab25568e8f95ea582c3dfa704e70940"),
 ]
 
 
@@ -500,3 +512,24 @@ def test_stdout_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def refusal_reads(node):
+    """The lines in node that read EXIT_USAGE or sys.stderr."""
+    return [
+        n.lineno
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and n.id == "EXIT_USAGE" and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Attribute) and n.attr == "stderr"
+        and isinstance(n.value, ast.Name) and n.value.id == "sys"
+    ]
+
+
+def test_only_main_reports_a_refusal():
+    # a subcommand refuses input by raising; main alone prints "error: ..."
+    # and returns EXIT_USAGE
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (main_def,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    in_main = set(refusal_reads(main_def))
+    assert in_main
+    assert [line for line in refusal_reads(tree) if line not in in_main] == []

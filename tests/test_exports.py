@@ -1,7 +1,9 @@
 """The library exports nothing that nothing reads: no public name at the top
-of a module, and no public method or property of a class."""
+of a module, and no public method or property of a class.  README's library
+example runs as written."""
 
 import ast
+import re
 from pathlib import Path
 
 import braidlink
@@ -87,3 +89,10 @@ def test_every_public_method_has_a_reader():
         if name not in read
     }
     assert not unread, sorted(unread)
+
+
+def test_readme_library_example_runs():
+    # README's library example, run as written
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    exec(compile(example, "README.md", "exec"), {})
