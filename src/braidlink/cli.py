@@ -68,12 +68,13 @@ EXIT_OUTPUT_CLOSED = 141  # the shell's status for a process ended by SIGPIPE
 # rows grow with the strand count, so a few characters could ask for
 # gigabytes.  The library itself is unbounded.
 MAX_STRANDS = 1000
-# invariants refuses longer words: the Seifert order and the Burau spans grow
-# with the letter count, and the eliminations faster still.  On CPython 3.11
-# (2-core host) random signed words of 500 letters take up to 8 s, of 1000
-# letters 14 s at 10 strands, and positive words of 512 letters 121 s at 48
-# strands.  512 admits the 501-letter torus knot whose Alexander value at
-# 10^11 is too long to print.
+# invariants refuses longer words: the Goeritz order (a third to a half of
+# the letter count on random words) and the Burau spans grow with the letter
+# count, and the eliminations faster still.  On CPython 3.11 (2-core host)
+# random signed words of 500 letters take up to 8 s, of 1000 letters 14 s at
+# 10 strands, and positive words of 512 letters 121 s at 48 strands.  512
+# admits the 501-letter torus knot whose Alexander value at 10^11 is too long
+# to print.
 MAX_LETTERS = 512
 # No longer token parses under CPython's default limit on the digits of an
 # integer string: "s", 4300 digits, "^-1".
@@ -281,10 +282,10 @@ def cmd_paper(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    lines = build_configuration()
     projection = args.projection
     if args.emit == "braid" and projection != "oxy":
         raise UsageError("braid emission is defined for the oxy projection only")
+    lines = build_configuration()
     name = args.smoothing or ("paper" if args.emit == "braid" else None)
     smoothing = smoothing_named(name) if name is not None else None
     if args.emit == "svg":

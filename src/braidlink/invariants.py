@@ -1,9 +1,10 @@
 """Assembled link invariants of a closed braid.
 
-The link determinant is computed along two independent routes, the
-symmetrized Seifert matrix det(V + V^T) and the Alexander value at -1 from
-the reduced Burau representation; link_determinant insists that they agree
-and returns the common absolute value.
+The link determinant is computed along two independent routes, the Goeritz
+matrix of the diagram's checkerboard colouring, det G (see goeritz.py), and
+the Alexander value at -1 from the reduced Burau representation;
+link_determinant insists that they agree and returns the common absolute
+value.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from .braids import (
     linking_matrix,
 )
 from .burau import alexander_polynomial
+from .goeritz import goeritz_determinant
 from .laurent import LaurentPolynomial
-from .seifert import seifert_matrix, symmetrized_determinant
 
 SCHEMA_REPORT = "braidlink/report/1"
 
 
 class RouteMismatchError(RuntimeError):
-    """The Seifert and Burau determinant routes disagreed: a convention bug."""
+    """The Goeritz and Burau determinant routes disagreed: a convention bug."""
 
 
 @dataclass(frozen=True)
@@ -34,35 +35,35 @@ class InvariantReport:
     component_count: int
     exponent_sum: int
     linking: tuple[tuple[int, ...], ...]
-    determinant_seifert: int
+    determinant_goeritz: int
     determinant_burau: int
     alexander: LaurentPolynomial
     alexander_at: tuple[tuple[int, int], ...]
 
     @property
     def determinant(self) -> int:
-        return abs(self.determinant_seifert)
+        return abs(self.determinant_goeritz)
 
 
 def _checked_determinants(
     word: BraidWord, alexander: LaurentPolynomial
 ) -> tuple[int, int]:
-    """Signed (det(V + V^T), Alexander(-1)); RouteMismatchError unless the
-    two routes agree in absolute value."""
-    det_s = symmetrized_determinant(seifert_matrix(word))
+    """Signed (det G, Alexander(-1)); RouteMismatchError unless the two
+    routes agree in absolute value."""
+    det_g = goeritz_determinant(word)
     det_b = alexander.evaluate(-1)
-    if abs(det_s) != abs(det_b):
+    if abs(det_g) != abs(det_b):
         raise RouteMismatchError(
-            f"seifert route gave {det_s}, burau route gave {det_b} "
+            f"goeritz route gave {det_g}, burau route gave {det_b} "
             f"for {braid_text(word)!r}"
         )
-    return det_s, det_b
+    return det_g, det_b
 
 
 def link_determinant(word: BraidWord) -> int:
-    """|det(V + V^T)| = |Alexander(-1)|, checked along both routes."""
-    det_s, _ = _checked_determinants(word, alexander_polynomial(word))
-    return abs(det_s)
+    """|det G| = |Alexander(-1)|, checked along both routes."""
+    det_g, _ = _checked_determinants(word, alexander_polynomial(word))
+    return abs(det_g)
 
 
 def full_report(
@@ -72,14 +73,14 @@ def full_report(
 ) -> InvariantReport:
     """alexander, when given, is alexander_polynomial(word), computed once."""
     alexander = alexander_polynomial(word) if alexander is None else alexander
-    det_s, det_b = _checked_determinants(word, alexander)
+    det_g, det_b = _checked_determinants(word, alexander)
     linking = linking_matrix(word)  # one row and column per component
     return InvariantReport(
         strand_count=word.strand_count,
         component_count=len(linking),
         exponent_sum=exponent_sum(word),
         linking=linking,
-        determinant_seifert=det_s,
+        determinant_goeritz=det_g,
         determinant_burau=det_b,
         alexander=alexander,
         alexander_at=tuple((point, alexander.evaluate(point)) for point in alexander_points),

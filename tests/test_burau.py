@@ -3,12 +3,12 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidlink.braids import BraidWord, concat, invert
+from braidlink.braids import BraidWord, concat, exponent_sum, invert
 from braidlink.burau import alexander_polynomial, burau_reduced, determinant_from_burau
 from braidlink.fixtures import reference_braids
 from braidlink.laurent import ONE, ZERO, LaurentPolynomial, geometric_sum
 from braidlink.matrices import PACKED_MAX, _certified_width, laurent_determinant
-from strategies import braid_words, oracle_words
+from strategies import braid_words, closure_words, oracle_words
 from test_matrices import dense_bareiss
 
 
@@ -179,6 +179,42 @@ def test_alexander_symmetry(w):
     assert p.terms[-1] > 0
     reversed_p = LaurentPolynomial(0, p.terms[::-1])
     assert reversed_p == p or reversed_p == -p
+
+
+def shifted_determinant(word):
+    """det(B - I) from the dense Burau product, as the benchmark's replay takes it."""
+    rows = [
+        {j: p - ONE if i == j else p for j, p in enumerate(row)}
+        for i, row in enumerate(burau_reduced(word))
+    ]
+    return laurent_determinant(rows)
+
+
+@settings(deadline=None, max_examples=150)
+@given(closure_words())
+def test_burau_determinant_is_centred_at_half_the_exponent_sum(drawn):
+    """det(B - I) = t**k * (1 + ... + t**(n-1)) * Delta with Delta symmetric
+    up to sign, and its exponents satisfy low + high = e, the exponent sum:
+    the centre is e/2.  A split closure, or a split link, gives zero."""
+    w, kind = drawn
+    if w.strand_count < 2:
+        return
+    det = shifted_determinant(w)
+    if kind in ("split", "empty"):
+        assert det == ZERO
+    if not det:
+        return
+    pairs = det.to_pairs()
+    assert pairs[0][0] + pairs[-1][0] == exponent_sum(w)
+    terms = det.exact_div(geometric_sum(w.strand_count)).terms
+    assert terms[::-1] in (terms, tuple(-c for c in terms))
+
+
+@pytest.mark.parametrize("name", ["axis", "infinity"])
+def test_reference_burau_determinants_are_centred(name):
+    w = getattr(reference_braids(), name)
+    pairs = shifted_determinant(w).to_pairs()
+    assert pairs[0][0] + pairs[-1][0] == exponent_sum(w) == 54
 
 
 @given(braid_words(max_strands=5, max_len=12))

@@ -35,8 +35,17 @@ def test_import_braidlink_loads_no_submodule():
 
 def test_invariants_request_loads_only_the_invariant_modules():
     script = "import braidlink.cli\nbraidlink.cli.main(['invariants', 'B3 1 2'])"
-    modules = ["", ".braids", ".laurent", ".matrices", ".burau", ".seifert", ".invariants", ".cli"]
+    modules = ["", ".braids", ".laurent", ".matrices", ".burau", ".goeritz", ".invariants", ".cli"]
     assert loaded_after(script) == sorted("braidlink" + m for m in modules)
+
+
+def test_refused_braid_projection_exits_2_and_loads_no_geometry():
+    script = (
+        "import braidlink.cli\n"
+        "code = braidlink.cli.main(['construct', '--emit', 'braid', '--projection', 'oxz'])\n"
+        "print(code, 'braidlink.geometry' in sys.modules)"
+    )
+    assert last_line_after(script) == "2 False"
 
 
 def test_invariants_request_makes_no_fraction():

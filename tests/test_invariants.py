@@ -72,7 +72,7 @@ def test_full_report_reference():
 
 def test_cross_validation_fields_agree():
     report = full_report(BraidWord(3, (1, 2, 1, 2)))
-    assert abs(report.determinant_seifert) == abs(report.determinant_burau)
+    assert abs(report.determinant_goeritz) == abs(report.determinant_burau)
 
 
 def test_extra_alexander_points():
@@ -115,10 +115,10 @@ def test_report_dict_linking_rows_are_lists():
 
 def test_route_mismatch_raises_everywhere(monkeypatch):
     monkeypatch.setattr(
-        braidlink.invariants, "symmetrized_determinant", lambda data: 4
+        braidlink.invariants, "goeritz_determinant", lambda word: 4
     )
     trefoil = BraidWord(2, (1, 1, 1))
-    with pytest.raises(RouteMismatchError, match="seifert route gave 4"):
+    with pytest.raises(RouteMismatchError, match="goeritz route gave 4"):
         link_determinant(trefoil)
     with pytest.raises(RouteMismatchError, match="burau route gave 3"):
         full_report(trefoil)

@@ -368,6 +368,8 @@ def test_wide_mixed_sign_unknots(n):
     rng = random.Random(f"unknot:{n}")
     for generators in (range(1, n), rng.sample(range(1, n), n - 1)):
         word = BraidWord(n, tuple(rng.choice((1, -1)) * i for i in generators))
+        assert symmetrized_determinant(seifert_matrix(word)) == 1
         report = full_report(word)
-        assert (report.determinant_seifert, report.determinant_burau) == (1, 1)
+        # det G's sign depends on the diagram: -1 on the n = 10 and 60 words
+        assert (abs(report.determinant_goeritz), report.determinant_burau) == (1, 1)
         assert report.alexander == ONE
