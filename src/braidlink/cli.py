@@ -154,76 +154,50 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def run_paper_checks(braids: ReferenceBraids | None = None, out=None) -> int:
-    """The bundled-data verification battery; returns the exit code.
+def _half(word: BraidWord) -> BraidWord:
+    """The half-turn word of a full turn: a full turn is its half turn and the
+    flipped image of that, of equal length."""
+    return BraidWord(word.strand_count, word.letters[: len(word.letters) // 2])
 
-    The braids argument substitutes the fixtures (used by tests to check
-    the failure path); out collects report lines.
-    """
-    if braids is None:
-        braids = reference_braids()
-    lines_out = out if out is not None else []
-    failures = 0
 
-    def check(name: str, ok: bool, detail: str) -> None:
-        nonlocal failures
-        status = "ok  " if ok else "FAIL"
-        lines_out.append(f"{status}  {name}: {detail}")
-        if not ok:
-            failures += 1
-
+def paper_checks(braids: ReferenceBraids) -> list[tuple[str, bool, str]]:
+    """The bundled-data verification battery: (name, passed, detail) for each
+    check, in order.  Tests pass corrupted braids to see checks fail."""
     det_axis = link_determinant(braids.axis)
     det_inf = link_determinant(braids.infinity)
-    check("axis braid determinant", det_axis == 64, f"got {det_axis}, want 64")
-    check("infinity braid determinant", det_inf == 0, f"got {det_inf}, want 0")
-    check(
-        "determinants distinguish the closures",
-        det_axis != det_inf,
-        f"{det_axis} vs {det_inf}",
-    )
+    checks = [
+        ("axis braid determinant", det_axis == 64, f"got {det_axis}, want 64"),
+        ("infinity braid determinant", det_inf == 0, f"got {det_inf}, want 0"),
+        ("determinants distinguish the closures", det_axis != det_inf, f"{det_axis} vs {det_inf}"),
+    ]
 
     named = (("axis", braids.axis), ("infinity", braids.infinity))
     # each closure component's strand count, by braid
     closure_sizes = {name: [len(c) for c in components(word).cycles] for name, word in named}
     for name, sizes in closure_sizes.items():
         shape = sorted(sizes)
-        check(
-            f"{name} closure components",
-            shape == [1, 4, 4],
-            f"{len(shape)} components of sizes {shape} "
-            "(curve lift: two 4-strand circles, axis lift: one strand)",
-        )
-
+        checks.append((f"{name} closure components", shape == [1, 4, 4],
+                       f"{len(shape)} components of sizes {shape} "
+                       "(curve lift: two 4-strand circles, axis lift: one strand)"))
     for name, word in named:
-        half = BraidWord(word.strand_count, word.letters[: len(word.letters) // 2])
-        anti = components_of_antipodal_closure(half)
+        anti = components_of_antipodal_closure(_half(word))
         sizes = sorted(len(anti.strands_in(c)) for c in range(anti.component_count))
-        check(
-            f"{name} projective closure",
-            anti.component_count == 2 and sizes == [1, 8],
-            f"{anti.component_count} components of sizes {sizes} "
-            "(the curve is a single circle downstairs)",
-        )
+        checks.append((f"{name} projective closure", sizes == [1, 8],
+                       f"{len(sizes)} components of sizes {sizes} "
+                       "(the curve is a single circle downstairs)"))
 
     lk_axis = linking_matrix(braids.axis)
     lk_inf = linking_matrix(braids.infinity)
-    check(
-        "linking matrices agree",
-        lk_axis == lk_inf,
-        f"{[list(r) for r in lk_axis]} vs {[list(r) for r in lk_inf]}",
-    )
     totals = []
     for sizes, lk in zip(closure_sizes.values(), (lk_axis, lk_inf)):
         singles = [c for c, size in enumerate(sizes) if size == 1]
         curves = [c for c, size in enumerate(sizes) if size > 1]
         totals.append(sum(lk[c][singles[0]] for c in curves) if len(singles) == 1 else None)
-    check(
-        "curve-to-axis linking total",
-        totals == [8, 8],
-        f"got {totals}, want [8, 8]",
-    )
-
-    from .geometry import SmoothingChoice
+    checks += [
+        ("linking matrices agree", lk_axis == lk_inf,
+         f"{[list(r) for r in lk_axis]} vs {[list(r) for r in lk_inf]}"),
+        ("curve-to-axis linking total", totals == [8, 8], f"got {totals}, want [8, 8]"),
+    ]
 
     lines = build_configuration()
     events = project_crossings(lines, "oxy")
@@ -235,32 +209,22 @@ def run_paper_checks(braids: ReferenceBraids | None = None, out=None) -> int:
         (2, 0), (-2, 0), (5, 3), (-5, -3), (3, 3), (-3, -3), (3, 5), (-3, -5),
         (0, 2), (0, -2), (-3, 5), (3, -5), (-3, 3), (3, -3), (-5, 3), (5, -3),
     }
-    check(
+    checks.append((
         "projection crossing census",
-        len(finite) == 16
-        and positions == annotated
-        and len(doubles) == 8
-        and len(triples) == 4,
+        len(finite) == 16 and positions == annotated and len(doubles) == 8 and len(triples) == 4,
         f"{len(finite)} crossings, {len(doubles)} double points, "
         f"{len(triples)} triples at infinity",
-    )
+    ))
 
-    full = sweep_full_turn(lines, apply_smoothing(events, SmoothingChoice.paper()))
-    # The full turn is the half turn and its flipped image, of equal length.
-    swept = BraidWord(full.strand_count, full.letters[: len(full.letters) // 2])
-    check(
-        "sweep reproduces the bundled half-turn word",
-        swept == infinity_half_braid(),
-        braid_text(swept),
-    )
-    # A report is a function of its word, so equal words have equal reports.
-    check(
-        "full turn equals the bundled braid",
-        full == braids.infinity,
-        "word and invariant report both match",
-    )
-
-    return EXIT_VERIFY_FAILED if failures else EXIT_OK
+    full = sweep_full_turn(lines, apply_smoothing(events, smoothing_named("paper")))
+    swept = _half(full)
+    return checks + [
+        ("sweep reproduces the bundled half-turn word", swept == infinity_half_braid(),
+         braid_text(swept)),
+        # A report is a function of its word, so equal words have equal reports.
+        ("full turn equals the bundled braid", full == braids.infinity,
+         "word and invariant report both match"),
+    ]
 
 
 def cmd_paper(args: argparse.Namespace) -> int:
@@ -274,11 +238,14 @@ def cmd_paper(args: argparse.Namespace) -> int:
             print(f"-- {name}")
             print(report_text(word, report))
         return EXIT_OK
-    lines: list[str] = []
-    code = run_paper_checks(out=lines)
-    print("\n".join(lines))
-    print("all checks passed" if code == EXIT_OK else "verification FAILED")
-    return code
+    checks = paper_checks(braids)
+    for name, passed, detail in checks:
+        print(f"{'ok  ' if passed else 'FAIL'}  {name}: {detail}")
+    if all(passed for _, passed, _ in checks):
+        print("all checks passed")
+        return EXIT_OK
+    print("verification FAILED")
+    return EXIT_VERIFY_FAILED
 
 
 def cmd_construct(args: argparse.Namespace) -> int:

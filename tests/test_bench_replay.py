@@ -68,7 +68,7 @@ TRACED_SPANS = {
         "braids.braid_text", "braids.components", "braids.components_of_antipodal_closure",
         "braids.linking_matrix", "fixtures.infinity_half_braid", "fixtures.reference_braids",
         "geometry.apply_smoothing", "geometry.build_configuration", "geometry.project_crossings",
-        "invariants.link_determinant", "sweep.sweep_full_turn",
+        "geometry.smoothing_named", "invariants.link_determinant", "sweep.sweep_full_turn",
     },
     ("paper", "--variant", "positive-q0"): {
         "fixtures.reference_braids", "invariants.full_report", "invariants.report_text",
