@@ -204,7 +204,7 @@ def paper_checks(braids: ReferenceBraids) -> list[tuple[str, bool, str]]:
     finite = [e for e in events if e.kind == "finite" and e.double_point is None]
     doubles = [e for e in events if e.double_point is not None]
     triples = [e for e in events if e.kind == "at_infinity"]
-    positions = {(e.position[0], e.position[1]) for e in finite}
+    positions = {e.position[:2] for e in finite if e.position[2] == 1}
     annotated = {
         (2, 0), (-2, 0), (5, 3), (-5, -3), (3, 3), (-3, -3), (3, 5), (-3, -5),
         (0, 2), (0, -2), (-3, 5), (3, -5), (-3, 3), (3, -3), (-5, 3), (5, -3),

@@ -6,34 +6,32 @@ common infinity line of the planes z = const, and the eight lines are two
 quarter-turn orbits of the lines through p0 = (3,-1,-1), q0 = (3,1,1).
 
 The configuration data is integral: the points, the line directions and
-their projections are ints.  A Fraction arises only where a division does:
-the position of a crossing and the SVG drawing.  Floating point never
-appears.
+their projections are ints, and so is every quotient the arrangement
+takes, as a numerator over a positive denominator: a crossing's position
+is the homogeneous (x, y, w) of `reduced`.  Only the output divides.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import gcd, lcm
-
-Rational = int | Fraction  # an int in the data, a Fraction where a division made it
 
 INFINITY_LABEL = "L'"
 DOUBLE_POINT_LABELS = ("p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3")
 
-Direction = tuple[int, int]
-Vector2 = tuple[Rational, Rational]
+Direction = Vector2 = tuple[int, int]
+Homogeneous = tuple[int, int, int]  # (x, y, w) for the point (x/w, y/w), w > 0
 
 
 @dataclass(frozen=True)
 class Point3:
     """A point, or a direction vector, of the affine chart."""
 
-    x: Rational
-    y: Rational
-    z: Rational
+    x: int
+    y: int
+    z: int
 
 
 @dataclass(frozen=True)
@@ -72,12 +70,10 @@ def build_configuration() -> tuple[SpaceLine, ...]:
     """The eight lines: l_k through (p_k, q_k), l'_k through (p_k, q_(k+1)),
     all oriented with dz > 0."""
     pts = base_points()
-    lines = []
-    for k in range(4):
-        lines.append(_line_through(f"l{k}", pts[f"p{k}"], pts[f"q{k}"]))
-    for k in range(4):
-        lines.append(_line_through(f"l'{k}", pts[f"p{k}"], pts[f"q{(k+1) % 4}"]))
-    return tuple(lines)
+    return tuple(
+        [_line_through(f"l{k}", pts[f"p{k}"], pts[f"q{k}"]) for k in range(4)]
+        + [_line_through(f"l'{k}", pts[f"p{k}"], pts[f"q{(k+1) % 4}"]) for k in range(4)]
+    )
 
 
 # -- projections ------------------------------------------------------------
@@ -99,7 +95,7 @@ class Projection:
     tone_axis: str
     infinity_is_strand: bool
 
-    def plane(self, p: Point3) -> tuple[Rational, Rational]:
+    def plane(self, p: Point3) -> Vector2:
         return (getattr(p, self.plane_axes[0]), getattr(p, self.plane_axes[1]))
 
 
@@ -119,7 +115,7 @@ def projection_named(projection: Projection | str) -> Projection:
     raise ValueError(f"unknown projection {projection!r}")
 
 
-def cross(u: Vector2, v: Vector2) -> Rational:
+def cross(u: Vector2, v: Vector2) -> int:
     """The plane cross product u x v: positive when v turns counterclockwise
     from u, zero when they are parallel."""
     return u[0] * v[1] - u[1] * v[0]
@@ -139,35 +135,48 @@ class ProjectedLine:
     base: Vector2
     step: Vector2
 
-    def point_at(self, t: Rational) -> Vector2:
-        return (self.base[0] + t * self.step[0], self.base[1] + t * self.step[1])
+
+def reduced(*values) -> tuple[int, ...]:
+    """The integers proportional to values, with gcd 1 and the last one not
+    negative: (x, y, w) for the point (x/w, y/w), (p, q) for p/q.  The values
+    are ints or rationals with numerator and denominator, not all zero."""
+    den = lcm(*[v.denominator for v in values])
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = -gcd(*ints) if ints[-1] < 0 else gcd(*ints)
+    return tuple([n // g for n in ints])
 
 
-def half_turn_direction(d: Direction, start: Direction) -> tuple[Direction, tuple]:
-    """The representative r of +-d whose angle from start lies in [0, pi),
-    and a key ordering such representatives by that angle: the start class
-    first, then counterclockwise over the half turn.
+def half_turn_order(
+    directions: Iterable[Direction], start: Direction
+) -> dict[Direction, tuple[Direction, tuple[int, int]]]:
+    """For each direction d, the representative r of +-d whose angle from
+    start lies in [0, pi), and an integer key ordering the representatives
+    by that angle: the start class first, then counterclockwise over the
+    half turn.  A key is -cot of the angle times the lcm of the turns.
 
     This is the one direction order of the arrangement: the crossing list
     is sorted by it from (1, 0) and the sweep scans by it from its start.
     """
-    turn = cross(start, d)
-    dot = start[0] * d[0] + start[1] * d[1]
-    if turn < 0 or (turn == 0 and dot < 0):
-        d, turn, dot = (-d[0], -d[1]), -turn, -dot
+    frames = {}
+    for d in directions:
+        turn, dot = cross(start, d), start[0] * d[0] + start[1] * d[1]
+        flip = turn < 0 or (turn == 0 and dot < 0)
+        frames[d] = ((-d[0], -d[1]), -turn, -dot) if flip else (d, turn, dot)
+    common = lcm(*[turn for _, turn, _ in frames.values() if turn])
     # -cot of the angle from start increases over (0, pi)
-    return d, ((0, 0) if turn == 0 else (1, Fraction(-dot, turn)))
+    return {
+        d: (rep, (0, 0) if turn == 0 else (1, -dot * (common // turn)))
+        for d, (rep, turn, dot) in frames.items()
+    }
 
 
-def upper_half_primitive(a: Rational, b: Rational) -> Direction:
-    """Primitive integer direction of (a, b) normalized modulo 180 degrees:
-    second component positive, or zero with the first positive."""
-    den = lcm(a.denominator, b.denominator)
-    ia, ib = int(a * den), int(b * den)
-    g = gcd(ia, ib)
-    if g == 0:
+def upper_half_primitive(a, b) -> Direction:
+    """Primitive integer direction of the rational (a, b) normalized modulo
+    180 degrees: second component positive, or zero with the first positive."""
+    if a == b == 0:
         raise ValueError("zero direction")
-    return half_turn_direction((ia // g, ib // g), (1, 0))[0]
+    x, y = reduced(a, b)
+    return (x, y) if y else (1, 0)
 
 
 def project_line(line: SpaceLine, projection: Projection) -> ProjectedLine:
@@ -176,7 +185,7 @@ def project_line(line: SpaceLine, projection: Projection) -> ProjectedLine:
     )
 
 
-def _handedness(a: SpaceLine, b: SpaceLine) -> Rational:
+def _handedness(a: SpaceLine, b: SpaceLine) -> int:
     """det(d_a, d_b, b_b - b_a): zero exactly when the lines are coplanar,
     and otherwise of one sign in every view.  Where a crosses over b in a
     right-handed view the determinant has the opposite sign to the plane
@@ -206,7 +215,7 @@ class CrossingEvent:
     kind: str
     labels: tuple[str, ...]
     angle: Direction | None  # scan direction; None for a crossing at the origin
-    position: Vector2 | None = None
+    position: Homogeneous | None = None
     sign: int | None = None
     double_point: str | None = None
     positive_over: str | None = None  # which label is over if resolved positively
@@ -235,7 +244,7 @@ def project_crossings(
     strand and those events are triple crossings.
     """
     projection = projection_named(projection)
-    double_points = {projection.plane(p): name for name, p in base_points().items()}
+    double_points = {(*projection.plane(p), 1): name for name, p in base_points().items()}
     projected = [(line, project_line(line, projection)) for line in lines]
     events: list[CrossingEvent] = []
 
@@ -250,11 +259,11 @@ def project_crossings(
                     CrossingEvent("at_infinity", labels, upper_half_primitive(*pa.step))
                 )
                 continue
-            # the crossing is pa.point_at(n / det): the numerators x, y over det
+            # the crossing is pa's point at parameter n / det
             gap = (pb.base[0] - pa.base[0], pb.base[1] - pa.base[1])
             n = cross(gap, pb.step)
             x, y = pa.base[0] * det + n * pa.step[0], pa.base[1] * det + n * pa.step[1]
-            position = (Fraction(x, det), Fraction(y, det))
+            position = reduced(x, y, det)
             angle = None if x == y == 0 else upper_half_primitive(x, y)
             # a crossing is positive exactly when this line is the over one
             positive_over = a.label if det > 0 else b.label
@@ -271,15 +280,16 @@ def project_crossings(
             events.append(
                 CrossingEvent("finite", labels, angle, position, sign, name, positive_over)
             )
-    events.sort(key=_event_sort_key)
+    # the origin first, then by angle from (1, 0), kind, position and labels
+    slopes = half_turn_order({e.angle for e in events if e.angle}, (1, 0))
+    common = lcm(*[e.position[2] for e in events if e.position])
+    events.sort(key=lambda e: (
+        slopes[e.angle][1] if e.angle else (-1,),
+        e.kind != "finite",
+        [c * common // e.position[2] for c in e.position[:2]] if e.position else [],
+        e.labels,
+    ))
     return events
-
-
-def _event_sort_key(event: CrossingEvent):
-    # the origin crossing first, then by angle from (1, 0)
-    slope = (-1,) if event.angle is None else half_turn_direction(event.angle, (1, 0))[1]
-    pos = event.position if event.position is not None else (0, 0)
-    return (slope, 0 if event.kind == "finite" else 1, pos, event.labels)
 
 
 # -- smoothing ----------------------------------------------------------------
@@ -347,6 +357,11 @@ def apply_smoothing(
 
 # -- serialization -------------------------------------------------------------
 
+def _quotient_text(n: int, d: int) -> str:
+    """n/d, d > 0, in lowest terms: `a` or `a/b`."""
+    return f"{n // gcd(n, d)}/{d // gcd(n, d)}".removesuffix("/1")
+
+
 def crossings_json(events: list[CrossingEvent], projection: Projection | str) -> str:
     payload = {
         "schema": "braidlink/crossings/1",
@@ -356,9 +371,9 @@ def crossings_json(events: list[CrossingEvent], projection: Projection | str) ->
                 "kind": event.kind,
                 "labels": list(event.labels),
                 "angle": None if event.angle is None else list(event.angle),
-                "position": None
-                if event.position is None
-                else [str(coordinate) for coordinate in event.position],
+                "position": event.position and [
+                    _quotient_text(c, event.position[2]) for c in event.position[:2]
+                ],
                 "over": event.over,
                 "sign": event.sign,
                 "double_point": event.double_point,

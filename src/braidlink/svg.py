@@ -7,78 +7,75 @@ white casing under the over strand; unresolved or smoothed double points
 are marked with a small circle.  The viewport is fixed to [-7, 7]^2, so
 output bytes are a deterministic function of the input.
 
-The drawing is computed exactly: the clip parameters, the cut where the
-tone changes and the casing ends are Fractions of the lines' integral
-data, and only the output formatting (_svg_coords and the canvas size)
-converts to float.
+The drawing is computed in integers: a line's clip parameters and the cut
+where its tone changes are integers over one denominator per line, and
+every point, casing ends included, is a homogeneous (x, y, w).  Only
+_svg_coords divides, to format the output.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .geometry import (
+    Homogeneous,
     Projection,
     ProjectedLine,
-    Rational,
     SmoothingChoice,
     SpaceLine,
     apply_smoothing,
     project_crossings,
     project_line,
     projection_named,
+    reduced,
 )
 
-VIEW = Fraction(7)
+VIEW = 7
 SCALE = 40
 TONE_POSITIVE = "#000000"
 TONE_NEGATIVE = "#999999"
 
 
-def _svg_coords(p: tuple[Fraction, Fraction]) -> tuple[float, float]:
-    return (float((p[0] + VIEW) * SCALE), float((VIEW - p[1]) * SCALE))
+def _svg_coords(p: Homogeneous) -> tuple[float, float]:
+    x, y, w = p
+    return (float((x + VIEW * w) * SCALE / w), float((VIEW * w - y) * SCALE / w))
 
 
-def _fmt(p: tuple[Fraction, Fraction]) -> str:
+def _fmt(p: Homogeneous) -> str:
     x, y = _svg_coords(p)
     return f"{x:.2f},{y:.2f}"
 
 
-def _tone(line: SpaceLine, axis: str, t: Rational) -> str:
-    """The tone of the line's point at parameter t."""
-    coordinate = getattr(line.base, axis) + t * getattr(line.direction, axis)
-    return TONE_POSITIVE if coordinate > 0 else TONE_NEGATIVE
-
-
-def _clip_parameter_range(line: ProjectedLine) -> tuple[Fraction, Fraction]:
-    """Parameter range of the line's points that lie in the box."""
-    bounds: list[tuple[Fraction, Fraction]] = []
-    for axis in (0, 1):
-        if line.step[axis] == 0:
-            continue
-        t1 = Fraction(-VIEW - line.base[axis], line.step[axis])
-        t2 = Fraction(VIEW - line.base[axis], line.step[axis])
-        bounds.append((min(t1, t2), max(t1, t2)))
-    return max(t[0] for t in bounds), min(t[1] for t in bounds)
+def _tone(c: int, dc: int, n: int, d: int) -> str:
+    """The tone where the axis coordinate c + t * dc has t = n / d, d != 0."""
+    return TONE_POSITIVE if (c * d + n * dc) * d > 0 else TONE_NEGATIVE
 
 
 def _line_segments(
     line: SpaceLine, image: ProjectedLine, axis: str
-) -> list[tuple[str, tuple, tuple]]:
+) -> list[tuple[str, Homogeneous, Homogeneous]]:
     """(tone, start, end) pieces of the clipped image of the line, split
     where its axis coordinate changes sign."""
-    lo, hi = _clip_parameter_range(image)
+    # the image's base and step and the axis coordinate's, times q > 0
+    c, dc = getattr(line.base, axis), getattr(line.direction, axis)
+    bx, by, ux, uy, c, dc, q = reduced(*image.base, *image.step, c, dc, 1)
+    # a parameter T stands for t = T / den, so the bounds and the cut are integers
+    den = lcm(ux or 1, uy or 1, dc or 1)
+    bounds = [
+        sorted([(-VIEW * q - b) * den // u, (VIEW * q - b) * den // u])
+        for b, u in ((bx, ux), (by, uy)) if u
+    ]
+    lo, hi = max(lower for lower, _ in bounds), min(upper for _, upper in bounds)
     if lo >= hi:
         return []
     cuts = [lo, hi]
-    if getattr(line.direction, axis) != 0:
-        t_zero = Fraction(-getattr(line.base, axis), getattr(line.direction, axis))
-        if lo < t_zero < hi:
-            cuts.insert(1, t_zero)
+    if dc and lo < -c * den // dc < hi:
+        cuts.insert(1, -c * den // dc)
+    points = [(bx * den + t * ux, by * den + t * uy, q * den) for t in cuts]
     # the coordinate is linear in t, so a piece has the sign of its midpoint
     return [
-        (_tone(line, axis, (a + b) / 2), image.point_at(a), image.point_at(b))
-        for a, b in zip(cuts, cuts[1:])
+        (_tone(c, dc, s + t, 2 * den), points[i], points[i + 1])
+        for i, (s, t) in enumerate(zip(cuts, cuts[1:]))
     ]
 
 
@@ -93,12 +90,12 @@ def emit_projection_svg(
     if smoothing is not None:
         events = apply_smoothing(events, smoothing)
 
-    size = float(2 * VIEW * SCALE)
+    size = 2 * VIEW * SCALE
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
-        f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">',
-        f'<rect width="{size:.0f}" height="{size:.0f}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'height="{size}" viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
     ]
     drawn = {}
     for line in lines:
@@ -112,7 +109,6 @@ def emit_projection_svg(
             )
         out.append("</g>")
 
-    gap = Fraction(1, 4)
     for event in events:
         if event.position is None:
             continue
@@ -125,13 +121,16 @@ def emit_projection_svg(
             )
             continue
         line, over = drawn[event.over]
+        # a quarter unit of the larger step coordinate either way of (x/w, y/w)
+        x, y, w = event.position
         ux, uy = over.step
-        scale = Fraction(gap, max(abs(ux), abs(uy)))
-        a = (event.position[0] - ux * scale, event.position[1] - uy * scale)
-        b = (event.position[0] + ux * scale, event.position[1] + uy * scale)
+        m = 4 * max(abs(ux), abs(uy))
+        a = (m * x - w * ux, m * y - w * uy, m * w)
+        b = (m * x + w * ux, m * y + w * uy, m * w)
         # the over line's tone at the crossing's own parameter
         i = 0 if ux != 0 else 1
-        tone = _tone(line, axis, Fraction(event.position[i] - over.base[i], over.step[i]))
+        c, dc = getattr(line.base, axis), getattr(line.direction, axis)
+        tone = _tone(c, dc, event.position[i] - over.base[i] * w, w * over.step[i])
         out.append(
             f'<g class="crossing"><polyline points="{_fmt(a)} {_fmt(b)}" '
             f'fill="none" stroke="#ffffff" stroke-width="8"/>'

@@ -16,7 +16,7 @@ The full-turn braid is the half-turn word followed by its image under
 sigma_i -> sigma_(9-i): the scanning line returns to itself with reversed
 orientation after half a turn.
 
-The scan order is geometry.half_turn_direction, the same direction order
+The scan order is geometry.half_turn_order, the same direction order
 that sorts the crossing list: each event direction stands for its
 representative at an angle in [0, pi) from the start direction, and the
 events are met in increasing angle of that representative.
@@ -24,7 +24,7 @@ events are met in increasing angle of that representative.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .braids import BraidWord, concat, tau
 from .geometry import (
@@ -35,8 +35,9 @@ from .geometry import (
     ProjectedLine,
     SpaceLine,
     cross,
-    half_turn_direction,
+    half_turn_order,
     project_line,
+    reduced,
 )
 
 
@@ -44,29 +45,33 @@ class SweepError(RuntimeError):
     """A genericity assumption of the sweep failed."""
 
 
-def strand_order(
-    projected: list[ProjectedLine], direction: Direction
-) -> list[str]:
-    """Labels of the nine strand points just before the scanning line
-    reaches the given direction, ordered from the origin cut: positive ray
+def strand_orders(
+    projected: list[ProjectedLine], directions: list[Direction]
+) -> list[list[str]]:
+    """For each direction, the labels of the nine strand points just before
+    the scanning line reaches it, ordered from the origin cut: positive ray
     outward, infinity, negative ray inward.
 
     A line base + t * step meets the ray s * direction at
     s = cross(base, step) / cross(direction, step).  The sorting key is
     w = -1/s per line (w = 0 for the infinity strand), perturbed clockwise
-    for the tie-break at event directions.
+    for the tie-break at event directions.  w = -direction . u for the
+    line's polar u, taken once and scaled to integers over one denominator.
     """
-    clockwise = (direction[1], -direction[0])
-    keyed = [((0, 0), INFINITY_LABEL)]
+    polars = [(INFINITY_LABEL, (0, 0, 1))]  # the infinity strand's polar is 0
     for line in projected:
         moment = cross(line.base, line.step)
         if not moment:  # the Oxy image passes through the origin
             raise SweepError(f"line {line.label} meets the axis L")
-        w =Fraction(-cross(direction, line.step), moment)
-        w_tie = Fraction(-cross(clockwise, line.step), moment)
-        keyed.append(((w, w_tie), line.label))
-    keyed.sort()
-    return [label for _, label in keyed]
+        polars.append((line.label, reduced(line.step[1], -line.step[0], moment)))
+    common = lcm(*[w for _, (_, _, w) in polars])
+    polars = [(label, x * common // w, y * common // w) for label, (x, y, w) in polars]
+    orders = []
+    for dx, dy in directions:
+        # w and w_tie times common: (dy, -dx) is the clockwise perturbation
+        keyed = sorted(((-dx * x - dy * y, dx * y - dy * x), label) for label, x, y in polars)
+        orders.append([label for _, label in keyed])
+    return orders
 
 
 def sweep_half_turn(
@@ -78,23 +83,24 @@ def sweep_half_turn(
     event list (events from apply_smoothing; flagged double points are not
     accepted)."""
     projected = [project_line(line, OXY) for line in lines]
-    strand_count = len(projected) + 1
 
     # keyed by (angle key, representative): the key orders the groups, and
     # the representative, not event.angle, fixes the orientation of the
     # scanning line (the strand order at -d is the reverse of that at d)
+    angles = half_turn_order({e.angle for e in events if e.angle is not None}, start)
     groups: dict[tuple[tuple, Direction], list[CrossingEvent]] = {}
     for event in events:
         if event.kind == "finite" and event.sign is None:
             raise SweepError("unsigned crossing or double point; apply a smoothing first")
         if event.angle is None:
             raise SweepError("event at the scan origin cannot be swept")
-        rep, key = half_turn_direction(event.angle, start)
+        rep, key = angles[event.angle]
         groups.setdefault((key, rep), []).append(event)
+    scans = sorted(groups.items())
+    orders = strand_orders(projected, [direction for (_, direction), _ in scans])
 
     letters: list[int] = []
-    for (_, direction), group in sorted(groups.items()):
-        order = strand_order(projected, direction)
+    for ((_, direction), group), order in zip(scans, orders):
         position = {label: i + 1 for i, label in enumerate(order)}
         staged: list[tuple[int, list[int]]] = []
         occupied: set[int] = set()
@@ -121,7 +127,7 @@ def sweep_half_turn(
                 staged.append((low, [event.sign * low]))
         for _, contribution in sorted(staged):
             letters.extend(contribution)
-    return BraidWord(strand_count, tuple(letters))
+    return BraidWord(len(projected) + 1, tuple(letters))
 
 
 def sweep_full_turn(

@@ -119,10 +119,11 @@ def test_oxy_crossing_census():
     assert {e.double_point for e in doubles} == {
         "p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3"
     }
+    # a position is the homogeneous (x, y, w): these are all integral
     positions = {e.position for e in finite}
-    assert (Fraction(2), Fraction(0)) in positions
-    assert (Fraction(-2), Fraction(0)) in positions
-    assert (Fraction(5), Fraction(3)) in positions
+    assert (2, 0, 1) in positions
+    assert (-2, 0, 1) in positions
+    assert (5, 3, 1) in positions
     # all sixteen annotated coordinates, nothing else
     expected = {
         (2, 0), (-2, 0), (0, 2), (0, -2),
@@ -130,7 +131,7 @@ def test_oxy_crossing_census():
         (5, 3), (-5, -3), (-3, 5), (3, -5),
         (3, 5), (-3, -5), (-5, 3), (5, -3),
     }
-    assert {(int(p[0]), int(p[1])) for p in positions} == expected
+    assert positions == {(x, y, 1) for x, y in expected}
     # every honest crossing of this configuration is positive
     assert {e.sign for e in finite} == {1}
 
@@ -138,9 +139,9 @@ def test_oxy_crossing_census():
 def test_crossing_participants():
     events = project_crossings(build_configuration(), OXY)
     at = {e.position: e for e in events if e.position is not None}
-    assert set(at[(Fraction(5), Fraction(3))].labels) == {"l1", "l'3"}
-    assert set(at[(Fraction(2), Fraction(0))].labels) == {"l'0", "l'3"}
-    assert at[(Fraction(3), Fraction(1))].double_point == "q0"
+    assert set(at[(5, 3, 1)].labels) == {"l1", "l'3"}
+    assert set(at[(2, 0, 1)].labels) == {"l'0", "l'3"}
+    assert at[(3, 1, 1)].double_point == "q0"
 
 
 def test_infinity_triples_have_direction_classes():

@@ -1,6 +1,7 @@
 """The package exports its names lazily, and a request loads only the modules
 its subcommand runs."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -55,6 +56,58 @@ def test_invariants_request_makes_no_fraction():
         "print('fractions' in sys.modules)"
     )
     assert last_line_after(script) == "False"
+
+
+ARRANGEMENT_REQUESTS = [
+    ["paper"],
+    ["paper", "--variant", "positive-q0"],
+    ["construct", "--emit", "braid"],
+] + [
+    ["construct", "--emit", emit, "--projection", projection, *smoothing]
+    for emit in ("crossings", "svg")
+    for projection in ("oxy", "oxz")
+    for smoothing in ([], ["--smoothing", "paper"], ["--smoothing", "all-positive"])
+]
+
+
+@pytest.mark.parametrize("argv", ARRANGEMENT_REQUESTS, ids=" ".join)
+def test_arrangement_request_makes_no_fraction(argv):
+    script = (
+        "import contextlib, io\n"
+        "import braidlink.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = braidlink.cli.main({argv!r})\n"
+        "print(code, 'fractions' in sys.modules, 'decimal' in sys.modules)"
+    )
+    assert last_line_after(script) == "0 False False"
+
+
+def test_library_imports_no_fractions_and_converts_to_float_in_one_place():
+    # The arrangement carries its quotients as integers; only the SVG's
+    # output formatting turns a value into a float.
+    library = Path(braidlink.__file__).resolve().parent
+    imports, floats = [], []
+    for path in sorted(library.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scopes = {
+            id(node): f"{path.stem}.{function.name}"
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports += [alias.name for alias in node.names if alias.name == "fractions"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                imports.append(node.module)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            ):
+                floats.append(scopes.get(id(node), path.stem))
+    assert imports == []
+    assert set(floats) == {"svg._svg_coords"}
 
 
 @pytest.mark.parametrize("name", braidlink.__all__)

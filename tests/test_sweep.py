@@ -18,13 +18,13 @@ from braidlink.geometry import (
     SpaceLine,
     apply_smoothing,
     build_configuration,
-    half_turn_direction,
+    half_turn_order,
     project_crossings,
     project_line,
     OXY,
 )
 from braidlink.invariants import full_report
-from braidlink.sweep import SweepError, strand_order, sweep_full_turn, sweep_half_turn
+from braidlink.sweep import SweepError, strand_orders, sweep_full_turn, sweep_half_turn
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +68,7 @@ def test_q0_choice_toggles_exponent_sum_by_two_per_half_turn(lines, oxy_events):
 
 def test_strand_order_at_start(lines):
     projected = [project_line(line, OXY) for line in lines]
-    order = strand_order(projected, (1, 0))
+    [order] = strand_orders(projected, [(1, 0)])
     # just before horizontal: positive ray outward, infinity, negative ray
     assert order == ["l'3", "l'0", "l0", "l3", "L'", "l1", "l2", "l'2", "l'1"]
 
@@ -117,7 +117,7 @@ def test_sweep_rejects_a_line_that_meets_the_axis(lines):
     events = apply_smoothing(project_crossings(with_m, OXY), SmoothingChoice.paper())
     projected = [project_line(line, OXY) for line in with_m]
     with pytest.raises(SweepError, match="line m meets the axis L"):
-        strand_order(projected, (1, 0))
+        strand_orders(projected, [(1, 0)])
     with pytest.raises(SweepError, match="line m meets the axis L"):
         sweep_half_turn(with_m, events)
 
@@ -160,7 +160,7 @@ def test_sweep_from_other_start_gives_the_same_closure(lines, oxy_events, start)
 
 # -- the direction order against the comparator it replaced -------------------
 # The sweep once ordered directions with this comparator through cmp_to_key;
-# it stays here as the oracle for geometry.half_turn_direction.
+# it stays here as the oracle for geometry.half_turn_order.
 
 
 def _cross(a, b):
@@ -210,9 +210,10 @@ def test_direction_order_matches_the_comparator_oracle(start, directions):
     own = _primitive(start)
     directions = directions + [own, (-own[0], -own[1])]
     directions += [(-d[0], -d[1]) for d in directions[:2]]
+    order = half_turn_order(directions, start)
     reps = {}
     for d in directions:
-        rep, key = half_turn_direction(d, start)
+        rep, key = order[d]
         assert rep == _half_turn_representative(d, start)
         assert reps.setdefault(rep, key) == key
     by_key = sorted(reps, key=reps.__getitem__)
