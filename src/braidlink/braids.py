@@ -4,6 +4,10 @@ A word is a sequence of nonzero integers: letter e > 0 is the generator
 sigma_e, letter e < 0 is the inverse of sigma_|e|.  Strand identity through a
 word is tracked positionally: strand s starts at position s at the top, and a
 letter e swaps the occupants of positions |e| and |e|+1.
+
+`reduced` cancels sigma_i^e w sigma_i^-e to w where every letter of w
+commutes with sigma_i (is 2 or more away from i): the braid, and so every
+invariant, stays the same, and every route has fewer letters to work on.
 """
 
 from __future__ import annotations
@@ -156,6 +160,23 @@ def stabilize(word: BraidWord, sign: int) -> BraidWord:
         raise ValueError("stabilization sign must be +1 or -1")
     n = word.strand_count
     return BraidWord(n + 1, word.letters + (sign * n,))
+
+
+def reduced(word: BraidWord) -> BraidWord:
+    """The same braid, in one stack pass: a letter scans back over the kept
+    letters it commutes with, and cancels the first it does not if that is
+    its inverse; else it is kept.  Reducing the result changes nothing."""
+    kept: list[int] = []
+    for e in word.letters:
+        i = abs(e)
+        k = len(kept) - 1
+        while k >= 0 and abs(abs(kept[k]) - i) > 1:
+            k -= 1
+        if k >= 0 and kept[k] == -e:
+            del kept[k]
+        else:
+            kept.append(e)
+    return BraidWord(word.strand_count, tuple(kept))
 
 
 def exponent_sum(word: BraidWord) -> int:

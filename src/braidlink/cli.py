@@ -26,6 +26,7 @@ from .braids import (
     components_of_antipodal_closure,
     linking_matrix,
     parse_braid,
+    reduced,
 )
 from .burau import alexander_polynomial
 from .invariants import full_report, link_determinant, report_json, report_text
@@ -142,10 +143,11 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     points = tuple(args.alexander_at) if args.alexander_at else (-1,)
     if -1 not in points:
         points = (-1,) + points
-    alexander = alexander_polynomial(word)
+    short = reduced(word)  # the same braid for both routes; the report prints word
+    alexander = alexander_polynomial(short)
     if any(_too_long_to_print(alexander, point) for point in points):
         raise UsageError("report value too large to print: past the digit limit")
-    report = full_report(word, points, alexander)
+    report = full_report(short, points, alexander)
     try:
         text = report_json(word, report) if args.json else report_text(word, report)
     except ValueError as err:  # an integer past the interpreter's str limit

@@ -13,7 +13,6 @@ is the homogeneous (x, y, w) of `reduced`.  Only the output divides.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from math import gcd, lcm
@@ -363,22 +362,27 @@ def _quotient_text(n: int, d: int) -> str:
 
 
 def crossings_json(events: list[CrossingEvent], projection: Projection | str) -> str:
-    payload = {
-        "schema": "braidlink/crossings/1",
-        "projection": projection_named(projection).name,
-        "events": [
-            {
-                "kind": event.kind,
-                "labels": list(event.labels),
-                "angle": None if event.angle is None else list(event.angle),
-                "position": event.position and [
-                    _quotient_text(c, event.position[2]) for c in event.position[:2]
-                ],
-                "over": event.over,
-                "sign": event.sign,
-                "double_point": event.double_point,
-            }
-            for event in events
-        ],
-    }
-    return json.dumps(payload, indent=2)
+    """The events as JSON, laid out as json.dumps(..., indent=2) lays it out;
+    its strings are names and quotients, with nothing to escape."""
+    names, blocks = ("kind", "labels", "angle", "position", "over", "sign", "double_point"), []
+    for e in events:
+        position = e.position and [_quotient_text(c, e.position[2]) for c in e.position[:2]]
+        values = (e.kind, e.labels, e.angle, position, e.over, e.sign, e.double_point)
+        fields = ",\n".join(f'      "{k}": {_json_field(v)}' for k, v in zip(names, values))
+        blocks.append(f"    {{\n{fields}\n    }}")
+    listed = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
+    name = projection_named(projection).name
+    head = f'{{\n  "schema": "braidlink/crossings/1",\n  "projection": "{name}",\n'
+    return f'{head}  "events": {listed}\n}}'
+
+
+def _json_field(value: str | int | Iterable | None) -> str:
+    """An event field (None, str, int or a flat sequence) as json.dumps(..., indent=2) has it."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, int):
+        return str(value)
+    items = ",\n        ".join(map(_json_field, value))
+    return f"[\n        {items}\n      ]" if items else "[]"

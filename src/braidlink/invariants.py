@@ -2,14 +2,14 @@
 
 The link determinant is computed along two independent routes, the Goeritz
 matrix of the diagram's checkerboard colouring, det G (see goeritz.py), and
-the Alexander value at -1 from the reduced Burau representation;
-link_determinant insists that they agree and returns the common absolute
-value.
+the Alexander value at -1 from the reduced Burau representation; both
+link_determinant and full_report require them to agree in absolute value and
+the normalised Alexander polynomial read backwards to be +-itself.  det G's
+sign depends on the diagram: an `invariants` report holds the reduced word's.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .braids import (
@@ -26,7 +26,7 @@ SCHEMA_REPORT = "braidlink/report/1"
 
 
 class RouteMismatchError(RuntimeError):
-    """The Goeritz and Burau determinant routes disagreed: a convention bug."""
+    """The determinant routes disagreed or Alexander is not symmetric: a convention bug."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,11 @@ def _checked_determinants(
     word: BraidWord, alexander: LaurentPolynomial
 ) -> tuple[int, int]:
     """Signed (det G, Alexander(-1)); RouteMismatchError unless the two
-    routes agree in absolute value."""
+    routes agree in absolute value and the normalised Alexander polynomial
+    read backwards is +-itself."""
+    terms = alexander.terms
+    if terms[::-1] != terms and terms[::-1] != tuple(-c for c in terms):
+        raise RouteMismatchError(f"alexander polynomial {alexander} is not symmetric")
     det_g = goeritz_determinant(word)
     det_b = alexander.evaluate(-1)
     if abs(det_g) != abs(det_b):
@@ -87,25 +91,35 @@ def full_report(
     )
 
 
-def report_json_dict(word: BraidWord, report: InvariantReport) -> dict:
-    """Stable-key-order JSON object for the report."""
-    return {
-        "schema": SCHEMA_REPORT,
-        "word": braid_text(word),
-        "strand_count": report.strand_count,
-        "components": report.component_count,
-        "exponent_sum": report.exponent_sum,
-        "linking": [list(row) for row in report.linking],
-        "determinant": report.determinant,
-        "alexander": {
-            "coefficients": [list(pair) for pair in report.alexander.to_pairs()],
-            "evaluations": [list(pair) for pair in report.alexander_at],
-        },
-    }
-
-
 def report_json(word: BraidWord, report: InvariantReport) -> str:
-    return json.dumps(report_json_dict(word, report), indent=2)
+    """The report as JSON, laid out as json.dumps(..., indent=2) lays it out;
+    its only strings, the schema and the braid text, need no escaping.
+    ValueError for an integer past the interpreter's str limit."""
+    return "\n".join([
+        "{",
+        f'  "schema": "{SCHEMA_REPORT}",',
+        f'  "word": "{braid_text(word)}",',
+        f'  "strand_count": {report.strand_count},',
+        f'  "components": {report.component_count},',
+        f'  "exponent_sum": {report.exponent_sum},',
+        f'  "linking": {_json_rows(report.linking, "  ")},',
+        f'  "determinant": {report.determinant},',
+        '  "alexander": {',
+        f'    "coefficients": {_json_rows(report.alexander.to_pairs(), "    ")},',
+        f'    "evaluations": {_json_rows(report.alexander_at, "    ")}',
+        "  }",
+        "}",
+    ])
+
+
+def _json_rows(rows: tuple[tuple[int, ...], ...], pad: str) -> str:
+    """Nonempty integer rows as json.dumps(..., indent=2) writes them at pad."""
+    if not rows:
+        return "[]"
+    inner = pad + "  "
+    head, between, tail = f"{inner}[\n{inner}  ", f",\n{inner}  ", f"\n{inner}]"
+    listed = ",\n".join([head + between.join(map(str, row)) + tail for row in rows])
+    return f"[\n{listed}\n{pad}]"
 
 
 def report_text(word: BraidWord, report: InvariantReport) -> str:

@@ -61,8 +61,8 @@ def test_replay_records_every_stage_with_the_library_sizes(name):
 # The library spans a traced request records, by request.
 TRACED_SPANS = {
     ("invariants", "--json", "B3 1 2"): {
-        "braids.parse_braid", "burau.alexander_polynomial", "invariants.full_report",
-        "invariants.report_json",
+        "braids.parse_braid", "braids.reduced", "burau.alexander_polynomial",
+        "invariants.full_report", "invariants.report_json",
     },
     ("paper",): {
         "braids.braid_text", "braids.components", "braids.components_of_antipodal_closure",

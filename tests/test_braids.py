@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,9 +18,12 @@ from braidlink.braids import (
     invert,
     linking_matrix,
     parse_braid,
+    reduced,
     stabilize,
     tau,
 )
+from braidlink.burau import burau_reduced
+from braidlink.invariants import full_report
 from strategies import braid_words
 
 
@@ -285,3 +290,62 @@ def test_antipodal_closure_of_half_words():
         anti = components_of_antipodal_closure(half)
         assert anti.component_count == 2
         assert sorted(len(anti.strands_in(c)) for c in range(2)) == [1, 8]
+
+
+# -- the reduced word ----------------------------------------------------------
+
+@st.composite
+def reducible_words(draw):
+    """Signed words on 2 to 9 strands of at most 60 letters, a generator
+    missing (a split closure) in about half of those on 3 or more."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    generators = list(range(1, n))
+    if n > 2 and draw(st.booleans()):
+        generators.remove(draw(st.sampled_from(generators)))
+    letter = st.tuples(st.sampled_from(generators), st.sampled_from((1, -1)))
+    letters = draw(st.lists(letter, max_size=60))
+    return BraidWord(n, tuple(i * s for i, s in letters))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reducible_words())
+def test_reduced_word_is_the_same_braid(word):
+    short = reduced(word)
+    assert short.strand_count == word.strand_count
+    assert len(short) <= len(word)
+    assert reduced(short) == short
+    assert burau_reduced(short) == burau_reduced(word)
+    assert closure_permutation(short) == closure_permutation(word)
+    assert exponent_sum(short) == exponent_sum(word)
+    a, b = full_report(short), full_report(word)
+    assert (a.determinant, a.alexander, a.component_count, a.linking) == (
+        b.determinant, b.alexander, b.component_count, b.linking
+    )
+
+
+@pytest.mark.parametrize(
+    "letters, expected",
+    [
+        ((1, 2, -1), (1, 2, -1)),  # sigma_2 does not commute with sigma_1
+        ((1, 3, -1), (3,)),
+        ((1, 1, -1), (1,)),
+        ((-2, 4, 2, 1), (4, 1)),
+        ((-2, 4, 1, 2), (-2, 4, 1, 2)),  # sigma_1 stands between
+        ((1, 3, 2, -3, -1), (1, 3, 2, -3, -1)),
+        ((2, 1, -1, -2), ()),
+    ],
+)
+def test_reduced_fixed_cases(letters, expected):
+    assert reduced(BraidWord(5, letters)).letters == expected
+
+
+def test_reduced_on_pairwise_commuting_letters():
+    # Each letter scans back over every kept one: the quadratic worst case.
+    n = 1025
+    odd = tuple(range(1, n, 2))
+    assert len(odd) == 512
+    start = time.perf_counter()
+    assert reduced(BraidWord(n, odd)).letters == odd
+    half = odd[:256]
+    assert reduced(BraidWord(n, half + tuple(-e for e in half))).letters == ()
+    assert time.perf_counter() - start < 2

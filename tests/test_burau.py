@@ -282,18 +282,36 @@ def test_reference_braids_take_the_packed_route(name):
 
 
 SYLVESTER_4 = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+# The Sylvester matrix of order 8, H_2 (x) H_4.
+SYLVESTER_8 = tuple(
+    tuple(s * h for s in (1, sign) for h in row) for sign in (1, -1) for row in SYLVESTER_4
+)
+
+
+def assert_exact_at_the_certificate_edge(sylvester, scale, width):
+    # scale * H t**(r_i + k_j) for a Hadamard matrix H of order m meets
+    # Hadamard's bound: its determinant is m**(m/2) scale**m t**(sum r +
+    # sum k), just inside the slot.
+    m = len(sylvester)
+    r, k = (0, -3, 2, 5, 1, -2, 0, 3)[:m], (-1, 4, 0, -9, 2, 0, -5, 1)[:m]
+    rows = [
+        {j: LaurentPolynomial(r[i] + k[j], (scale * h,)) for j, h in enumerate(signs)}
+        for i, signs in enumerate(sylvester)
+    ]
+    assert _certified_width(rows) == width
+    det = laurent_determinant(rows)
+    assert det == LaurentPolynomial(sum(r) + sum(k), (m ** (m // 2) * scale**m,))
+    assert det == dense_bareiss([[row[j] for j in range(m)] for row in rows], ONE)
 
 
 @pytest.mark.parametrize("scale, width", [(1, 1), (6, 2), (107, 4), (108, 8)])
 def test_packed_determinant_exact_at_the_certificate_edge(scale, width):
-    # scale * H t**(r_i + k_j) for a Hadamard matrix H meets Hadamard's bound:
-    # its determinant is 16 * scale**4 t**(sum r + sum k), just inside the slot.
-    r, k = (0, -3, 2, 5), (-1, 4, 0, -9)
-    rows = [
-        {j: LaurentPolynomial(r[i] + k[j], (scale * h,)) for j, h in enumerate(signs)}
-        for i, signs in enumerate(SYLVESTER_4)
-    ]
-    assert _certified_width(rows) == width
-    det = laurent_determinant(rows)
-    assert det == LaurentPolynomial(-2, (16 * scale**4,))
-    assert det == dense_bareiss([[row[j] for j in range(4)] for row in rows], ONE)
+    # Order 4 is expanded at the packed point at every width.
+    assert_exact_at_the_certificate_edge(SYLVESTER_4, scale, width)
+
+
+@pytest.mark.parametrize("scale, width", [(1, 2), (5, 4), (6, 8)])
+def test_eliminated_determinant_exact_at_the_certificate_edge(scale, width):
+    # Order 8 is eliminated at the packed point up to PACKED_MAX bytes and
+    # over Z[t, 1/t] above.
+    assert_exact_at_the_certificate_edge(SYLVESTER_8, scale, width)

@@ -145,6 +145,33 @@ def test_alexander_value_printed_up_to_the_digit_limit(capsys, sign):
     assert err.startswith("error: report value too large to print")
 
 
+@needs_int_str_limit
+def test_json_report_value_past_the_digit_limit_exits_2(capsys):
+    # 10^2200 passes the printability check (the trefoil's coefficients are
+    # small), and t^2 - t + 1 there has 4401 digits.
+    point = "1" + "0" * 2200
+    code, out, err = run(capsys, "invariants", "--json", "--alexander-at", point, "B2 1 1 1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: report value too large to print")
+
+
+def test_word_that_reduces_to_nothing(capsys):
+    # The report prints the word as given, with the invariants of its braid.
+    code, out, _ = run(capsys, "invariants", "B3 1 2 -2 -1")
+    assert code == 0
+    assert "word:         B3 1 2 -2 -1" in out
+    assert "components:   3" in out
+    assert "determinant:  0" in out
+    # The letter limit reads the word as given, not the reduced one: the
+    # reader refuses the first, the parsed word's check the second.
+    for text in ("B3 " + "1 -1 " * 300, "1 -1 " * (MAX_LETTERS // 2) + "1"):
+        code, out, err = run(capsys, "invariants", text)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: braid has more than {MAX_LETTERS} letters\n"
+
+
 def test_invariants_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("B2 1 1 1"))
     code, out, _ = run(capsys, "invariants", "-")

@@ -208,6 +208,44 @@ def test_upper_half_primitive():
         upper_half_primitive(0, 0)
 
 
+def crossings_payload(events, projection):
+    """The object crossings_json writes: the oracle, through json.dumps(...,
+    indent=2), for its layout."""
+    return {
+        "schema": "braidlink/crossings/1",
+        "projection": projection.name,
+        "events": [
+            {
+                "kind": e.kind,
+                "labels": list(e.labels),
+                "angle": None if e.angle is None else list(e.angle),
+                "position": None if e.position is None else [
+                    str(Fraction(c, e.position[2])) for c in e.position[:2]
+                ],
+                "over": e.over,
+                "sign": e.sign,
+                "double_point": e.double_point,
+            }
+            for e in events
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "smoothing", [None, SmoothingChoice.paper(), SmoothingChoice.all_positive()]
+)
+@pytest.mark.parametrize("projection", [OXY, OXZ], ids=["oxy", "oxz"])
+def test_crossings_json_is_the_indented_json_of_the_events(projection, smoothing):
+    import json
+
+    events = project_crossings(build_configuration(), projection)
+    if smoothing is not None:
+        events = apply_smoothing(events, smoothing)
+    for listed in (events, []):
+        expected = json.dumps(crossings_payload(listed, projection), indent=2)
+        assert crossings_json(listed, projection) == expected
+
+
 def test_crossings_json_round_trip():
     import json
 

@@ -58,6 +58,24 @@ def test_invariants_request_makes_no_fraction():
     assert last_line_after(script) == "False"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["invariants", "--json", "B3 1 -2 1 -2"], ["construct", "--emit", "crossings"]],
+    ids=" ".join,
+)
+def test_json_request_loads_no_json_module(argv):
+    # Both JSON layouts are written directly, so a cold request does not
+    # pay for importing the json package.
+    script = (
+        "import contextlib, io\n"
+        "import braidlink.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = braidlink.cli.main({argv!r})\n"
+        "print(code, 'json' in sys.modules)"
+    )
+    assert last_line_after(script) == "0 False"
+
+
 ARRANGEMENT_REQUESTS = [
     ["paper"],
     ["paper", "--variant", "positive-q0"],

@@ -1,19 +1,40 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidlink.braids import BraidWord, parse_braid
+from braidlink.braids import BraidWord, braid_text, parse_braid
 import braidlink.invariants
 from braidlink.fixtures import reference_braids
 from braidlink.invariants import (
+    SCHEMA_REPORT,
     RouteMismatchError,
     full_report,
     link_determinant,
     report_json,
-    report_json_dict,
 )
-from strategies import braid_words
+from braidlink.laurent import LaurentPolynomial
+from strategies import braid_words, closure_words
+
+
+def report_json_dict(word, report):
+    """The report as the JSON object report_json writes: the oracle, through
+    json.dumps(..., indent=2), for its layout."""
+    return {
+        "schema": SCHEMA_REPORT,
+        "word": braid_text(word),
+        "strand_count": report.strand_count,
+        "components": report.component_count,
+        "exponent_sum": report.exponent_sum,
+        "linking": [list(row) for row in report.linking],
+        "determinant": report.determinant,
+        "alexander": {
+            "coefficients": [list(pair) for pair in report.alexander.to_pairs()],
+            "evaluations": [list(pair) for pair in report.alexander_at],
+        },
+    }
 
 
 def mirror(w):
@@ -109,8 +130,42 @@ def test_report_json_shape_and_determinism():
 
 def test_report_dict_linking_rows_are_lists():
     word = parse_braid("B2 1 1")
-    payload = report_json_dict(word, full_report(word))
+    payload = json.loads(report_json(word, full_report(word)))
     assert payload["linking"] == [[0, 1], [1, 0]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    closure_words(max_strands=7, max_len=40),
+    st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=3),
+)
+def test_report_json_is_the_indented_json_of_the_report(drawn, points):
+    # Split words give empty coefficients; the points add evaluations.
+    word, _ = drawn
+    report = full_report(word, (-1, *points))
+    assert report_json(word, report) == json.dumps(report_json_dict(word, report), indent=2)
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4400,
+    reason="no integer string conversion limit below 4400 digits",
+)
+def test_report_json_refuses_an_integer_past_the_str_limit():
+    word = BraidWord(2, (1, 1, 1))
+    report = full_report(word, (-1, 10**2200))  # t^2 - t + 1 there has 4401 digits
+    with pytest.raises(ValueError):
+        report_json(word, report)
+
+
+def test_asymmetric_alexander_polynomial_raises():
+    # Adding t(1 + t) keeps the value 3 at -1, so only the symmetry check sees it.
+    trefoil = BraidWord(2, (1, 1, 1))
+    wrong = LaurentPolynomial(0, (1, 0, 2))
+    assert wrong.evaluate(-1) == 3
+    with pytest.raises(RouteMismatchError, match="not symmetric"):
+        full_report(trefoil, alexander=wrong)
+    hopf = full_report(BraidWord(2, (1, 1)))
+    assert hopf.alexander.terms == (-1, 1)  # read backwards it is its negative
 
 
 def test_route_mismatch_raises_everywhere(monkeypatch):

@@ -11,10 +11,13 @@ from braidlink.braids import BraidWord
 from braidlink.invariants import full_report
 from braidlink.laurent import ONE, ZERO, LaurentPolynomial
 from braidlink.matrices import (
+    EXPANSION_MAX,
     PACKED_MAX,
     IntegerMatrix,
     _certified_width,
+    _expanded_determinant,
     bareiss_determinant_laurent,
+    laurent_determinant,
     sparse_determinant,
 )
 from braidlink.seifert import seifert_matrix, symmetrized_determinant
@@ -192,7 +195,9 @@ def scaled_chain(n, scale):
     [(3, 1, 1), (6, 1, 2), (12, 1, 4), (3, 40, 4), (6, 40, 8), (3, 10**6, 9), (12, 10**6, 34)],
 )
 def test_laurent_determinant_on_both_sides_of_the_cutoff(n, scale, width):
-    assert 4 <= PACKED_MAX < 8  # widths 1-4 take the packed point, 8 and up do not
+    # Above order EXPANSION_MAX widths 1-4 take the packed point and 8 and up
+    # do not; up to it every width does.
+    assert 4 <= PACKED_MAX < 8
     rows = scaled_chain(n, scale)
     assert _certified_width([dict(enumerate(row)) for row in rows]) == width
     assert bareiss_determinant_laurent(rows) == dense_bareiss(rows, ONE)
@@ -325,6 +330,41 @@ def test_sparse_rows_in_any_order():
 )
 def test_sparse_elimination_matches_dense_oracle(rows):
     assert bareiss_determinant_int(rows) == dense_bareiss(rows, 1)
+
+
+def sparse_square(entry):
+    """Sparse square matrices of order 0 to 7 with entries drawn from entry,
+    most of them absent, so that zero rows and columns occur."""
+    return st.integers(min_value=0, max_value=7).flatmap(
+        lambda n: st.lists(
+            st.dictionaries(st.integers(min_value=0, max_value=n - 1), entry, max_size=n)
+            if n else st.just({}),
+            min_size=n,
+            max_size=n,
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_square(st.integers(min_value=-(10**12), max_value=10**12)))
+def test_expansion_matches_the_integer_elimination(rows):
+    assert _expanded_determinant(rows) == sparse_determinant(rows, 1)
+
+
+LAURENT_ENTRY = st.builds(
+    LaurentPolynomial,
+    st.integers(min_value=-6, max_value=6),
+    st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_square(LAURENT_ENTRY))
+def test_laurent_determinant_matches_the_laurent_elimination(rows):
+    # Orders up to EXPANSION_MAX expand at the packed point whatever its
+    # width; orders 6 and 7 take it up to PACKED_MAX bytes.
+    assert EXPANSION_MAX == 5
+    assert laurent_determinant(rows) == sparse_determinant(rows, ONE)
 
 
 def column_major_symmetrized(word):
