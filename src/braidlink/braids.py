@@ -12,38 +12,37 @@ invariant, stays the same, and every route has fewer letters to work on.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
+from . import Record
 
 
 class BraidParseError(ValueError):
     """Raised for malformed braid text."""
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    strand_count: int
-    letters: tuple[int, ...]
+class BraidWord(Record):
+    __slots__ = ("strand_count", "letters")
 
-    def __post_init__(self):
-        if self.strand_count < 1:
+    def __init__(self, strand_count: int, letters: tuple[int, ...]):
+        if strand_count < 1:
             raise ValueError("strand count must be at least 1")
-        for e in self.letters:
-            if not isinstance(e, int) or e == 0 or abs(e) > self.strand_count - 1:
-                raise ValueError(
-                    f"letter {e!r} out of range for {self.strand_count} strands"
-                )
+        for e in letters:
+            if not isinstance(e, int) or e == 0 or abs(e) > strand_count - 1:
+                raise ValueError(f"letter {e!r} out of range for {strand_count} strands")
+        object.__setattr__(self, "strand_count", strand_count)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class StrandComponentMap:
+class StrandComponentMap(Record):
     """Closure components as the cycles of the closure permutation, as
     `cycles` returns them: component c is cycles[c], ordered by least strand."""
 
-    cycles: tuple[tuple[int, ...], ...]
+    __slots__ = ("cycles",)
+
+    def __init__(self, cycles: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "cycles", cycles)
 
     @property
     def component_count(self) -> int:
@@ -55,62 +54,58 @@ class StrandComponentMap:
 
 # -- parsing and printing -------------------------------------------------
 
-_HEADER_RE = re.compile(r"^B(\d+)$")
-_GENERATOR_RE = re.compile(r"^s(\d+)(\^-1)?$")
-_INT_RE = re.compile(r"^-?\d+$")
-
 # The triple-crossing macro expands literally to the three letters 4 5 4.
 _MACRO_EXPANSIONS = {"D45": (4, 5, 4)}
 
 
 def _number(digits: str) -> int:
-    """int(digits); a parse error, not a ValueError, past the interpreter's
-    limit on the digits of an integer string (CPython 3.11 and later)."""
+    """int(digits) of decimal digits; a parse error, not a ValueError, past
+    the interpreter's limit on the digits of an integer string (CPython 3.11
+    and later)."""
     try:
         return int(digits)
     except ValueError:
         raise BraidParseError(f"number of {len(digits)} characters is too long") from None
 
 
-def parse_braid(text: str) -> BraidWord:
-    """Parse braid text: optional leading "B<n>" header, then letters.
+def parse_braid(text: str | list[str]) -> BraidWord:
+    """Parse braid text, or the list of its tokens: optional leading "B<n>"
+    header, then letters.
 
     Letter tokens are signed integers ("3", "-2"), generator names
     ("s3", "s2^-1"), or the macro "D45".  Tokens are separated by
     whitespace or commas.  Without a header the strand count is inferred
-    as 1 + max|letter|.
+    as 1 + max|letter|.  A number is decimal digits of any script
+    (str.isdecimal: the Unicode category Nd).
     """
-    tokens = [tok for tok in re.split(r"[\s,]+", text.strip()) if tok]
+    tokens = text.replace(",", " ").split() if isinstance(text, str) else text
     if not tokens:
         raise BraidParseError("empty input: strand count undeterminable")
 
     declared: int | None = None
-    header = _HEADER_RE.match(tokens[0])
-    if header:
-        declared = _number(header.group(1))
+    first = tokens[0]
+    if first[0] == "B" and first[1:].isdecimal():
+        declared = _number(first[1:])
         if declared < 1:
             raise BraidParseError("strand count must be positive")
         tokens = tokens[1:]
 
     letters: list[int] = []
     for tok in tokens:
-        if tok in _MACRO_EXPANSIONS:
-            letters.extend(_MACRO_EXPANSIONS[tok])
-            continue
-        gen = _GENERATOR_RE.match(tok)
-        if gen:
-            index = _number(gen.group(1))
-            if index == 0:
-                raise BraidParseError(f"generator index must be positive: {tok!r}")
-            letters.append(-index if gen.group(2) else index)
-            continue
-        if _INT_RE.match(tok):
+        if tok.isdecimal() or tok[0] == "-" and tok[1:].isdecimal():
             value = _number(tok)
             if value == 0:
                 raise BraidParseError("0 is not a valid letter")
             letters.append(value)
-            continue
-        raise BraidParseError(f"malformed token {tok!r}")
+        elif tok in _MACRO_EXPANSIONS:
+            letters.extend(_MACRO_EXPANSIONS[tok])
+        elif tok[0] == "s" and (digits := tok.removesuffix("^-1")[1:]).isdecimal():
+            index = _number(digits)
+            if index == 0:
+                raise BraidParseError(f"generator index must be positive: {tok!r}")
+            letters.append(-index if tok.endswith("^-1") else index)
+        else:
+            raise BraidParseError(f"malformed token {tok!r}")
 
     if declared is None:
         declared = 1 + max(abs(e) for e in letters)

@@ -89,11 +89,12 @@ class UsageError(Exception):
     """Input the CLI refuses: main prints it as `error: ...` and exits 2."""
 
 
-def _read_text(argument: str) -> str:
-    """The braid text WORD names, its tokens joined by spaces.  A stream is
-    read a chunk at a time and refused once it is past a limit: more tokens
-    than MAX_LETTERS + 1, a token longer than MAX_TOKEN, or more characters
-    than MAX_CHARS.  So a stream that never ends is refused too."""
+def _read_text(argument: str) -> list[str]:
+    """The tokens of the braid text WORD names, which parse_braid reads as
+    they are.  A stream is read a chunk at a time and refused once it is
+    past a limit: more tokens than MAX_LETTERS + 1, a token longer than
+    MAX_TOKEN, or more characters than MAX_CHARS.  So a stream that never
+    ends is refused too."""
     try:
         if argument == "-":
             return _read_tokens(sys.stdin)
@@ -105,7 +106,7 @@ def _read_text(argument: str) -> str:
     return _read_tokens(io.StringIO(argument))
 
 
-def _read_tokens(stream) -> str:
+def _read_tokens(stream) -> list[str]:
     tokens: list[str] = []
     partial = ""  # the last token read, while a chunk may go on with it
     size = 0
@@ -121,7 +122,7 @@ def _read_tokens(stream) -> str:
             raise UsageError(f"braid has more than {MAX_LETTERS} letters")
         if any(len(token) > MAX_TOKEN for token in (*new, partial)):
             raise UsageError(f"token of more than {MAX_TOKEN} characters is too long")
-    return " ".join(tokens + [partial])
+    return tokens + [partial] if partial else tokens
 
 
 def _too_long_to_print(alexander: LaurentPolynomial, point: int) -> bool:

@@ -14,8 +14,9 @@ is the homogeneous (x, y, w) of `reduced`.  Only the output divides.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
 from math import gcd, lcm
+
+from . import Record
 
 INFINITY_LABEL = "L'"
 DOUBLE_POINT_LABELS = ("p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3")
@@ -24,22 +25,26 @@ Direction = Vector2 = tuple[int, int]
 Homogeneous = tuple[int, int, int]  # (x, y, w) for the point (x/w, y/w), w > 0
 
 
-@dataclass(frozen=True)
-class Point3:
+class Point3(Record):
     """A point, or a direction vector, of the affine chart."""
 
-    x: int
-    y: int
-    z: int
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: int, y: int, z: int):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
 
-@dataclass(frozen=True)
-class SpaceLine:
+class SpaceLine(Record):
     """Oriented affine line: base + t * direction, t in R."""
 
-    label: str
-    base: Point3
-    direction: Point3
+    __slots__ = ("label", "base", "direction")
+
+    def __init__(self, label: str, base: Point3, direction: Point3):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "direction", direction)
 
 
 def rotate_quarter_turn(p: Point3) -> Point3:
@@ -77,8 +82,7 @@ def build_configuration() -> tuple[SpaceLine, ...]:
 
 # -- projections ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Projection:
+class Projection(Record):
     """A coordinate projection of the space onto a drawing plane.
 
     plane_axes name the two coordinates drawn.  They and the direction
@@ -89,10 +93,15 @@ class Projection:
     pairs meet it in triple crossings.
     """
 
-    name: str
-    plane_axes: tuple[str, str]
-    tone_axis: str
-    infinity_is_strand: bool
+    __slots__ = ("name", "plane_axes", "tone_axis", "infinity_is_strand")
+
+    def __init__(
+        self, name: str, plane_axes: tuple[str, str], tone_axis: str, infinity_is_strand: bool
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "plane_axes", plane_axes)
+        object.__setattr__(self, "tone_axis", tone_axis)
+        object.__setattr__(self, "infinity_is_strand", infinity_is_strand)
 
     def plane(self, p: Point3) -> Vector2:
         return (getattr(p, self.plane_axes[0]), getattr(p, self.plane_axes[1]))
@@ -120,8 +129,7 @@ def cross(u: Vector2, v: Vector2) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-@dataclass(frozen=True)
-class ProjectedLine:
+class ProjectedLine(Record):
     """Image of a space line base + t * direction in the drawing plane.
 
     At parameter t the image point is base + t * step: base and step are
@@ -130,9 +138,12 @@ class ProjectedLine:
     one parametrisation.
     """
 
-    label: str
-    base: Vector2
-    step: Vector2
+    __slots__ = ("label", "base", "step")
+
+    def __init__(self, label: str, base: Vector2, step: Vector2):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "step", step)
 
 
 def reduced(*values) -> tuple[int, ...]:
@@ -200,24 +211,37 @@ def _handedness(a: SpaceLine, b: SpaceLine) -> int:
 
 # -- crossings ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrossingEvent:
+class CrossingEvent(Record):
     """One event of a planar projection.
 
     kind "finite": a transversal crossing (position, two labels, sign and
     positive_over set) or a flagged double point of the space curve (sign
     unset, double_point carrying its name).  kind "at_infinity": two lines
     parallel in the projection meeting at infinity, a triple with the
-    infinity line where that line is a strand of the picture.
+    infinity line where that line is a strand of the picture.  angle is the
+    scan direction, None for a crossing at the origin; positive_over is the
+    label that is over if the crossing is resolved positively.
     """
 
-    kind: str
-    labels: tuple[str, ...]
-    angle: Direction | None  # scan direction; None for a crossing at the origin
-    position: Homogeneous | None = None
-    sign: int | None = None
-    double_point: str | None = None
-    positive_over: str | None = None  # which label is over if resolved positively
+    __slots__ = ("kind", "labels", "angle", "position", "sign", "double_point", "positive_over")
+
+    def __init__(
+        self,
+        kind: str,
+        labels: tuple[str, ...],
+        angle: Direction | None,
+        position: Homogeneous | None = None,
+        sign: int | None = None,
+        double_point: str | None = None,
+        positive_over: str | None = None,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "double_point", double_point)
+        object.__setattr__(self, "positive_over", positive_over)
 
     @property
     def over(self) -> str | None:
@@ -298,21 +322,21 @@ CROSSING_POSITIVE = 1
 SMOOTHED = 0
 
 
-@dataclass(frozen=True)
-class SmoothingChoice:
+class SmoothingChoice(Record):
     """Resolution of each spatial double point of the perturbed curve:
     +1 / -1 keep a projected crossing of that sign, 0 reconnects the
     branches coherently so no crossing remains."""
 
-    resolution: dict[str, int]
+    __slots__ = ("resolution",)
 
-    def __post_init__(self):
-        if set(self.resolution) != set(DOUBLE_POINT_LABELS):
-            missing = set(DOUBLE_POINT_LABELS) - set(self.resolution)
+    def __init__(self, resolution: dict[str, int]):
+        if set(resolution) != set(DOUBLE_POINT_LABELS):
+            missing = set(DOUBLE_POINT_LABELS) - set(resolution)
             raise ValueError(f"smoothing choice missing points: {sorted(missing)}")
-        for name, value in self.resolution.items():
+        for name, value in resolution.items():
             if value not in (-1, 0, 1):
                 raise ValueError(f"invalid resolution {value!r} at {name}")
+        object.__setattr__(self, "resolution", resolution)
 
     @staticmethod
     def paper() -> "SmoothingChoice":
@@ -350,7 +374,7 @@ def apply_smoothing(
             continue
         resolution = choice.resolution[event.double_point]
         if resolution != SMOOTHED:
-            out.append(replace(event, sign=resolution))
+            out.append(event.replace(sign=resolution))
     return out
 
 

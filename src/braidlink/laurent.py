@@ -41,8 +41,10 @@ from math import comb, isqrt
 from operator import add, mul, neg, sub
 from typing import Sequence
 
+from . import Record
 
-class LaurentPolynomial:
+
+class LaurentPolynomial(Record):
     __slots__ = ("low", "terms")
 
     low: int  # exponent of terms[0]; 0 for the zero polynomial
@@ -59,9 +61,6 @@ class LaurentPolynomial:
             low, terms = (low + start, terms[start:end]) if start < end else (0, ())
         _set_low(self, low)
         _set_terms(self, tuple(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPolynomial is immutable")
 
     # -- structure ----------------------------------------------------
 
@@ -153,14 +152,6 @@ class LaurentPolynomial:
 
     # -- dunder plumbing -------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self.low == other.low and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.low, self.terms))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -178,7 +169,7 @@ class LaurentPolynomial:
         return text
 
 
-# The slots' own setters, which bypass the immutability guard.
+# The slots' own setters, which bypass Record's immutability guard.
 _set_low = LaurentPolynomial.low.__set__
 _set_terms = LaurentPolynomial.terms.__set__
 

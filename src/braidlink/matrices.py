@@ -25,6 +25,7 @@ quotients are exact.  Its minors are about as wide as the slot times the
 span of the determinant, so past PACKED_MAX bytes the rows are eliminated
 over Z[t, 1/t] instead.  A zero row makes S = 0 and the determinant 0 at
 once: the other entries need not fit a one-byte slot, so nothing is packed.
+A zero column, a column with no nonzero entry, gives 0 at once too.
 
 Up to order EXPANSION_MAX the packed point is taken at any certified width,
 by an expansion over Z memoised on column subsets: m 2**(m-1) products for
@@ -34,10 +35,10 @@ and S. C. Johnson, ACM TOMS 2, 1976).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence, TypeVar
 
+from . import Record
 from .laurent import ONE, ZERO, LaurentPolynomial, kronecker_pack, kronecker_unpack, slot_width
 
 R = TypeVar("R", int, LaurentPolynomial)
@@ -72,19 +73,24 @@ def _certified_width(rows: list[dict[int, LaurentPolynomial]]) -> int:
 def laurent_determinant(rows: list[dict[int, LaurentPolynomial]]) -> LaurentPolynomial:
     """Determinant of the n x n matrix over Z[t, 1/t] whose row i has the
     entries rows[i] ({column: value}, absent columns zero)."""
-    width = _certified_width(rows)
-    if not width:
-        return ZERO
-    small = len(rows) <= EXPANSION_MAX
-    if width > PACKED_MAX and not small:
-        return sparse_determinant(rows, ONE)
-    # Column j is divided by t**low[j], its least exponent, so every entry
-    # is a polynomial and the determinant is t**sum(low) times theirs.
+    # low[j]: the least exponent in column j, for each column with a
+    # nonzero entry.  A stored zero is no entry: alexander_polynomial
+    # stores one on the diagonal of B - I in each column the word leaves.
     low: dict[int, int] = {}
     for row in rows:
         for j, p in row.items():
             if p:
                 low[j] = min(low.get(j, p.low), p.low)
+    if len(low) < len(rows):  # a zero column
+        return ZERO
+    width = _certified_width(rows)
+    if not width:  # a zero row
+        return ZERO
+    small = len(rows) <= EXPANSION_MAX
+    if width > PACKED_MAX and not small:
+        return sparse_determinant(rows, ONE)
+    # Column j is divided by t**low[j], so every entry is a polynomial and
+    # the determinant is t**sum(low) times theirs.
     w = 8 * width
     packed = [
         {j: kronecker_pack(p.terms, width) << (p.low - low[j]) * w for j, p in row.items() if p}
@@ -172,9 +178,11 @@ def sparse_determinant(rows: list[dict[int, R]], one: R) -> R:
     return -pivots[n] if negate else pivots[n]
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Record):
     """Immutable square integer matrix: its order and nonzero entries (row, column, value)."""
 
-    nrows: int
-    entries: tuple[tuple[int, int, int], ...]
+    __slots__ = ("nrows", "entries")
+
+    def __init__(self, nrows: int, entries: tuple[tuple[int, int, int], ...]):
+        object.__setattr__(self, "nrows", nrows)
+        object.__setattr__(self, "entries", entries)

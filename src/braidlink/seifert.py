@@ -32,14 +32,12 @@ determinant of a split closure is 0 regardless of V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from . import Record
 from .braids import BraidWord
 from .matrices import IntegerMatrix, sparse_determinant
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(Record):
     """Seifert matrix of the band surface.
 
     order is the number of generator loops, numbered in the order they open
@@ -48,9 +46,12 @@ class SeifertData:
     occupied strands carries no letter, i.e. the closure is a split diagram.
     """
 
-    order: int
-    entries: tuple[tuple[int, int, int], ...]
-    split: bool
+    __slots__ = ("order", "entries", "split")
+
+    def __init__(self, order: int, entries: tuple[tuple[int, int, int], ...], split: bool):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "split", split)
 
     @property
     def matrix(self) -> IntegerMatrix:

@@ -9,7 +9,6 @@ and the swept word of the library to equal the oracle's.
 """
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -70,7 +69,7 @@ def fraction_events(lines, projection):
     """The library's events with Fraction positions, in the replaced order."""
     by_label = {line.label: line for line in lines}
     events = [
-        replace(event, position=fraction_position(*(by_label[x] for x in event.labels), projection))
+        event.replace(position=fraction_position(*(by_label[x] for x in event.labels), projection))
         if event.kind == "finite"
         else event
         for event in project_crossings(lines, projection)

@@ -71,6 +71,47 @@ def test_parse_rejects_malformed(bad):
         parse_braid(bad)
 
 
+@pytest.mark.parametrize(
+    "text, word",
+    [
+        ("B\u0663 \u0661 -\u0662", BraidWord(3, (1, -2))),  # Arabic-Indic digits
+        ("s\u0967^-1,s\uff12", BraidWord(3, (-1, 2))),  # Devanagari, fullwidth
+        ("\u00a0B2\u20031\u3000", BraidWord(2, (1,))),  # Unicode spaces
+        ("B3,,1,-2,", BraidWord(3, (1, -2))),
+        ("B04 0003 s02^-1", BraidWord(4, (3, -2))),
+    ],
+)
+def test_parse_reads_unicode_digits_and_separators(text, word):
+    assert parse_braid(text) == word
+    assert parse_braid(text.replace(",", " ").split()) == word
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("+1", "malformed token '+1'"),
+        ("1_0", "malformed token '1_0'"),
+        ("\u00b2", "malformed token '\u00b2'"),  # a digit, but not a decimal one
+        ("--1", "malformed token '--1'"),
+        ("B3 B3", "malformed token 'B3'"),
+        ("s", "malformed token 's'"),
+        ("s^-1", "malformed token 's^-1'"),
+        ("s1^-1^-1", "malformed token 's1^-1^-1'"),
+        ("s1^1", "malformed token 's1^1'"),
+        ("d45", "malformed token 'd45'"),
+        ("-0", "0 is not a valid letter"),
+        ("s00^-1", "generator index must be positive: 's00^-1'"),
+        ("B0", "strand count must be positive"),
+        (", ,", "empty input: strand count undeterminable"),
+        ("B2 s2", "letter 2 out of range for declared strand count 2"),
+    ],
+)
+def test_parse_error_texts(bad, message):
+    with pytest.raises(BraidParseError) as raised:
+        parse_braid(bad)
+    assert str(raised.value) == message
+
+
 # Pieces of the token grammar, so that fuzzed text is mostly near-valid.
 TOKEN_PIECES = ["B", "s", "^-1", "-", ",", " ", "\t", "\n", "D45", *"0123456789"]
 

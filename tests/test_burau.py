@@ -3,7 +3,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidlink.braids import BraidWord, concat, exponent_sum, invert
+from braidlink import matrices
+from braidlink.braids import BraidWord, concat, exponent_sum, invert, parse_braid
 from braidlink.burau import alexander_polynomial, burau_reduced, determinant_from_burau
 from braidlink.fixtures import reference_braids
 from braidlink.laurent import ONE, ZERO, LaurentPolynomial, geometric_sum
@@ -168,6 +169,21 @@ def test_split_closures_vanish():
     # B - I has a zero row, so S = 0, and other entries have coefficients
     # up to 238, beyond the one-byte slot isqrt(0) + 1 would give
     assert alexander_polynomial(BraidWord(5, (1, -2) * 8)) == ZERO
+
+
+@pytest.mark.parametrize("text, zero_row", [("B4 1 1 3 -3 1", True), ("B4 1 1 3 3 1", False)])
+def test_split_word_is_zero_before_any_determinant(text, zero_row, monkeypatch):
+    # Both words lack sigma_2, so column 1 of B - I holds only the ZERO
+    # stored on its diagonal.  In the first, 3 -3 also leaves row 2 zero.
+    monkeypatch.setattr(matrices, "_expanded_determinant", lambda rows: pytest.fail("expanded"))
+    monkeypatch.setattr(matrices, "sparse_determinant", lambda rows, one: pytest.fail("eliminated"))
+    word = parse_braid(text)
+    rows = [dict(enumerate(row)) for row in burau_reduced(word)]
+    for i, row in enumerate(rows):
+        row[i] -= ONE
+    assert rows[1][1] == ZERO and not any(row[1] for row in rows)
+    assert (_certified_width(rows) == 0) == zero_row
+    assert alexander_polynomial(word) == ZERO
 
 
 @given(braid_words(max_strands=5, max_len=14))

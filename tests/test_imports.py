@@ -76,6 +76,24 @@ def test_json_request_loads_no_json_module(argv):
     assert last_line_after(script) == "0 False"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["invariants", "--json", "B3 1 -2 1 -2"], ["paper"], ["construct", "--emit", "svg"]],
+    ids=" ".join,
+)
+def test_request_loads_no_dataclasses_or_inspect(argv):
+    # The value types are plain slotted classes, so a cold request does not
+    # pay for dataclasses, which imports inspect, nor builds classes by exec.
+    script = (
+        "import contextlib, io\n"
+        "import braidlink.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = braidlink.cli.main({argv!r})\n"
+        "print(code, 'dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    )
+    assert last_line_after(script) == "0 False False"
+
+
 ARRANGEMENT_REQUESTS = [
     ["paper"],
     ["paper", "--variant", "positive-q0"],

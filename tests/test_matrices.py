@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidlink import matrices
 from braidlink.braids import BraidWord
 from braidlink.invariants import full_report
 from braidlink.laurent import ONE, ZERO, LaurentPolynomial
@@ -210,6 +211,21 @@ def test_laurent_determinant_of_a_zero_row(n):
     rows[n // 2] = [ZERO] * n
     assert _certified_width([dict(enumerate(row)) for row in rows]) == 0
     assert bareiss_determinant_laurent(rows) == ZERO
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_laurent_determinant_of_a_zero_column(n, monkeypatch):
+    # A zero column is 0 at once, stored zeros in it included, at orders
+    # that would expand (2, 5) and eliminate (8), with no row zero.
+    monkeypatch.setattr(matrices, "_expanded_determinant", lambda rows: pytest.fail("expanded"))
+    monkeypatch.setattr(matrices, "sparse_determinant", lambda rows, one: pytest.fail("eliminated"))
+    rows = [dict(enumerate(row)) for row in scaled_chain(n, 10**30)]
+    column = n // 2
+    for row in rows:
+        row.pop(column, None)
+    rows[column][column] = ZERO
+    assert _certified_width(rows) > 0
+    assert laurent_determinant(rows) == ZERO
 
 
 def chain_needing_far_row_swap(n, diagonal, far, one=1):

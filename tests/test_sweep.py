@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from functools import cmp_to_key
 from math import gcd
 
@@ -83,7 +82,7 @@ def test_sweep_rejects_unresolved_double_points(lines, oxy_events):
 # there is l'3 l'0 l0 l3 L' l1 l2 l'2 l'1, and events[2] is the triple with L'.
 NON_GENERIC_EDITS = {
     "at-origin": (
-        lambda events: [replace(events[0], angle=None), *events[1:]],
+        lambda events: [events[0].replace(angle=None), *events[1:]],
         "event at the scan origin cannot be swept",
     ),
     "listed-twice": (
@@ -91,11 +90,11 @@ NON_GENERIC_EDITS = {
         "overlapping simultaneous events at direction (1, 0)",
     ),
     "not-adjacent": (
-        lambda events: [replace(events[0], labels=("l'1", "l'3")), *events[1:]],
+        lambda events: [events[0].replace(labels=("l'1", "l'3")), *events[1:]],
         "event strands not adjacent at direction (1, 0)",
     ),
     "triple-middle": (
-        lambda events: [*events[:2], replace(events[2], labels=("l0", "l3", "L'")), *events[3:]],
+        lambda events: [*events[:2], events[2].replace(labels=("l0", "l3", "L'")), *events[3:]],
         "triple crossing without the infinity strand in the middle",
     ),
 }
