@@ -6,13 +6,22 @@ and 1 below; inverses hold 1 above, -1/t on and 1/t below.  For a word w
 with closure L, det(burau(w) - I) equals the Alexander polynomial of L
 times 1 + t + ... + t^(n-1), up to a unit: the quotient is taken by exact
 division, which keeps the value at t = -1 meaningful for even n as well.
-The product is built as sparse rows, {column: entry} maps of the nonzero
-entries, so no zero is stored, and det(B - I) is
-matrices.laurent_determinant of those rows, which says when it is taken at
-one packed point; burau_reduced is their dense view, read by the tests and
-the benchmark's stage replay.
+Each generator has determinant -t, so for the word cut into a head X and a
+tail Y, burau(w) = XY gives det(burau(w) - I) = det X det(Y - X^-1) with
+det X = (-t)^e(X), e the exponent sum: a unit, which the normalisation
+removes.  alexander_polynomial takes det(Y - X^-1) with X the first half of
+the letters when the order n - 1 is at most matrices.EXPANSION_MAX, and
+det(B - I), X empty, otherwise.  The halves' entries are products of half
+as many letters, so they have about half the span and their Hadamard
+certificate about half the bits.  X^-1 is the product of the inverse word
+of X, its letters reversed and negated.  The products are built as sparse
+rows, {column: entry} maps of the nonzero entries, so no zero is stored,
+and the determinant is matrices.laurent_determinant of the rows of
+Y - X^-1, which says when it is taken at one packed point; burau_reduced is
+the dense view of one product, read by the tests and the benchmark's stage
+replay.
 
-The product runs on packed integers (Kronecker substitution, see
+The products run on packed integers (Kronecker substitution, see
 laurent.py): each entry is one Python int, its polynomial at t = 2**w, so
 a letter costs each row three shifts and two additions of ints, and the
 entries are read back into Laurent polynomials once, after the last
@@ -21,35 +30,43 @@ A new entry is +-left +- mid +- right, so, from bound 1 on every column
 (the identity) and 0 on the two empty border columns, a letter adds to the
 bound of the column it rewrites those of its two neighbours; the bounds
 grow only in the columns the word touches.  w is 8 * slot_width of the
-largest bound, so every coefficient reads back exactly.
+largest bound, or, for Y - X^-1, of the largest sum of the two products'
+bounds on one column, so every coefficient reads back exactly.
 Column c stores t**s_c times its entries, so every stored value is an
 ordinary polynomial: a letter sets s_c of the column it rewrites to the
 least value that leaves each of the three terms a non-negative shift,
 max(s_left - 1, s_mid - 1, s_right) for sigma_i and
-max(s_left, s_mid + 1, s_right + 1) for its inverse.
+max(s_left, s_mid + 1, s_right + 1) for its inverse.  Y - X^-1 takes
+column c at the larger of its two shifts, so the packed difference is
+taken before the one read-back.
 """
 
 from __future__ import annotations
 
+from operator import add
+
 from .braids import BraidWord
-from .laurent import ONE, ZERO, LaurentPolynomial, geometric_sum, kronecker_unpack, slot_width
-from .matrices import laurent_determinant
+from .laurent import ZERO, LaurentPolynomial, geometric_sum, kronecker_unpack, slot_width
+from .matrices import EXPANSION_MAX, laurent_determinant
 
 
-def _burau_rows(word: BraidWord) -> list[dict[int, LaurentPolynomial]]:
-    """The Burau product as sparse rows; no rows for one strand."""
-    n, letters = word.strand_count, word.letters
-    # bound[c + 1] bounds the coefficients of column c; columns -1 and n - 1
-    # are the empty borders.
+def _column_bounds(n: int, letters: tuple[int, ...]) -> list[int]:
+    """bound[c + 1] bounds the coefficients of column c of the product;
+    columns -1 and n - 1 are the empty borders."""
     bound = [0] + [1] * (n - 1) + [0]
     for e in letters:
         r = abs(e)
         bound[r] += bound[r - 1] + bound[r + 1]
-    width = slot_width(max(bound))
-    w = 8 * width
-    # shift[c + 1] is s_c.  A letter sets its column's shift to at least
-    # s_mid - 1, so no shift falls below -len(letters): the borders' shift
-    # never raises s.
+    return bound
+
+
+def _packed_product(
+    n: int, letters: tuple[int, ...], w: int
+) -> tuple[list[dict[int, int]], list[int]]:
+    """The product's sparse rows, column c packed at t = 2**w times t**s_c,
+    and shift, where shift[c + 1] is s_c."""
+    # A letter sets its column's shift to at least s_mid - 1, so no shift
+    # falls below -len(letters): the borders' shift never raises s.
     border = -len(letters) - 2
     shift = [border] + [0] * (n - 1) + [border]
     rows = [{i: 1} for i in range(n - 1)]
@@ -68,9 +85,37 @@ def _burau_rows(word: BraidWord) -> list[dict[int, LaurentPolynomial]]:
             entry = (row.get(r - 2, 0) << a) - (row.pop(r - 1, 0) << b) + (row.get(r, 0) << c)
             if entry:
                 row[r - 1] = entry
-    return [
-        {j: kronecker_unpack(v, width, -shift[j + 1]) for j, v in row.items()} for row in rows
-    ]
+    return rows, shift
+
+
+def _difference_rows(word: BraidWord, cut: int) -> list[dict[int, LaurentPolynomial]]:
+    """Y - X^-1 as sparse rows, X the first cut letters of the word and Y
+    the rest; no rows for one strand."""
+    n, letters = word.strand_count, word.letters
+    tail, inverse_head = letters[cut:], tuple(-e for e in reversed(letters[:cut]))
+    width = slot_width(max(map(add, _column_bounds(n, tail), _column_bounds(n, inverse_head))))
+    w = 8 * width
+    ys, y_shift = _packed_product(n, tail, w)
+    xs, x_shift = _packed_product(n, inverse_head, w)
+    shift = list(map(max, y_shift, x_shift))
+    rows = []
+    for y, x in zip(ys, xs):
+        row = {}
+        for j in y.keys() | x.keys():
+            s = shift[j + 1]
+            v = (y.get(j, 0) << (s - y_shift[j + 1]) * w) - (
+                x.get(j, 0) << (s - x_shift[j + 1]) * w
+            )
+            if v:
+                row[j] = kronecker_unpack(v, width, -s)
+        rows.append(row)
+    return rows
+
+
+def _cut(word: BraidWord) -> int:
+    """The number of letters alexander_polynomial takes as X: half the word
+    on orders up to EXPANSION_MAX, else none."""
+    return len(word.letters) // 2 if word.strand_count - 1 <= EXPANSION_MAX else 0
 
 
 def burau_reduced(word: BraidWord) -> tuple[tuple[LaurentPolynomial, ...], ...]:
@@ -79,23 +124,30 @@ def burau_reduced(word: BraidWord) -> tuple[tuple[LaurentPolynomial, ...], ...]:
     Respects concatenation: burau(ab) = burau(a) * burau(b).  Requires at
     least two strands.
     """
-    size = word.strand_count - 1
-    if size < 1:
+    n, letters = word.strand_count, word.letters
+    if n < 2:
         raise ValueError("reduced Burau needs n >= 2")
-    return tuple(tuple(row.get(j, ZERO) for j in range(size)) for row in _burau_rows(word))
+    width = slot_width(max(_column_bounds(n, letters)))
+    rows, shift = _packed_product(n, letters, 8 * width)
+    return tuple(
+        tuple(
+            kronecker_unpack(row[j], width, -shift[j + 1]) if j in row else ZERO
+            for j in range(n - 1)
+        )
+        for row in rows
+    )
 
 
 def alexander_polynomial(word: BraidWord) -> LaurentPolynomial:
     """One-variable Alexander polynomial of the closure, normalized so the
     lowest exponent is 0 and the leading coefficient is positive.
 
-    Computed as det(burau(w) - I) divided exactly by 1 + t + ... + t^(n-1).
-    Split closures give the zero polynomial; the one-strand word gives 1.
+    Computed as det(Y - X^-1), which is det(burau(w) - I) up to a unit,
+    divided exactly by 1 + t + ... + t^(n-1).  Split closures give the zero
+    polynomial; the one-strand word gives 1.
     """
-    rows = _burau_rows(word)
-    for i, row in enumerate(rows):
-        row[i] = row.get(i, ZERO) - ONE
-    return _normalize(laurent_determinant(rows).exact_div(geometric_sum(word.strand_count)))
+    det = laurent_determinant(_difference_rows(word, _cut(word)))
+    return _normalize(det.exact_div(geometric_sum(word.strand_count)))
 
 
 def _normalize(p: LaurentPolynomial) -> LaurentPolynomial:

@@ -51,6 +51,9 @@ PACKED_MAX = 4
 # The largest order expanded: at order 6 the expansion, whose operands carry
 # the loose certified width, lost to the Laurent elimination on most random
 # signed words of 128-512 letters (up to 1.7x), and at order 5 won on 23 of 24.
+# Both were measured on B - I of the whole word, before burau.py took the
+# halves form Y - X^-1, whose certificate is about half as wide, up to this
+# order.
 EXPANSION_MAX = 5
 
 
@@ -74,8 +77,8 @@ def laurent_determinant(rows: list[dict[int, LaurentPolynomial]]) -> LaurentPoly
     """Determinant of the n x n matrix over Z[t, 1/t] whose row i has the
     entries rows[i] ({column: value}, absent columns zero)."""
     # low[j]: the least exponent in column j, for each column with a
-    # nonzero entry.  A stored zero is no entry: alexander_polynomial
-    # stores one on the diagonal of B - I in each column the word leaves.
+    # nonzero entry.  A stored zero is no entry: dense rows, such as
+    # bareiss_determinant_laurent's, store every zero.
     low: dict[int, int] = {}
     for row in rows:
         for j, p in row.items():

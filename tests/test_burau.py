@@ -1,14 +1,34 @@
 import tracemalloc
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidlink import matrices
-from braidlink.braids import BraidWord, concat, exponent_sum, invert, parse_braid
-from braidlink.burau import alexander_polynomial, burau_reduced, determinant_from_burau
+from braidlink.braids import (
+    BraidWord,
+    concat,
+    exponent_sum,
+    invert,
+    linking_matrix,
+    parse_braid,
+)
+from braidlink.burau import (
+    _cut,
+    _difference_rows,
+    alexander_polynomial,
+    burau_reduced,
+    determinant_from_burau,
+)
 from braidlink.fixtures import reference_braids
 from braidlink.laurent import ONE, ZERO, LaurentPolynomial, geometric_sum
-from braidlink.matrices import PACKED_MAX, _certified_width, laurent_determinant
+from braidlink.matrices import (
+    EXPANSION_MAX,
+    PACKED_MAX,
+    _certified_width,
+    laurent_determinant,
+    sparse_determinant,
+)
 from strategies import braid_words, closure_words, oracle_words
 from test_matrices import dense_bareiss
 
@@ -173,15 +193,14 @@ def test_split_closures_vanish():
 
 @pytest.mark.parametrize("text, zero_row", [("B4 1 1 3 -3 1", True), ("B4 1 1 3 3 1", False)])
 def test_split_word_is_zero_before_any_determinant(text, zero_row, monkeypatch):
-    # Both words lack sigma_2, so column 1 of B - I holds only the ZERO
-    # stored on its diagonal.  In the first, 3 -3 also leaves row 2 zero.
+    # Both words lack sigma_2, so column 1 of Y and of X^-1 is the
+    # identity's, and the route's Y - X^-1 (X = 1 1) has no entry there.
+    # In the first, 3 -3 also leaves row 2 of Y that of the identity.
     monkeypatch.setattr(matrices, "_expanded_determinant", lambda rows: pytest.fail("expanded"))
     monkeypatch.setattr(matrices, "sparse_determinant", lambda rows, one: pytest.fail("eliminated"))
     word = parse_braid(text)
-    rows = [dict(enumerate(row)) for row in burau_reduced(word)]
-    for i, row in enumerate(rows):
-        row[i] -= ONE
-    assert rows[1][1] == ZERO and not any(row[1] for row in rows)
+    rows = _difference_rows(word, _cut(word))
+    assert _cut(word) == 2 and not any(1 in row for row in rows)
     assert (_certified_width(rows) == 0) == zero_row
     assert alexander_polynomial(word) == ZERO
 
@@ -241,6 +260,84 @@ def test_normalization_invariant_under_markov_one(w):
     assert alexander_polynomial(conjugate(w, g)) == alexander_polynomial(w)
 
 
+# -- the word's two halves ----------------------------------------------------
+
+def dense(rows):
+    """Sparse rows of a square matrix as dense rows, every zero stored."""
+    return [[row.get(j, ZERO) for j in range(len(rows))] for row in rows]
+
+
+def monomial_unit(e):
+    """(-t)**e."""
+    return LaurentPolynomial(e, (-1 if e % 2 else 1,))
+
+
+@settings(deadline=None)
+@given(closure_words(max_strands=6))
+@example((BraidWord(1, ()), "one-strand"))
+@example((BraidWord(2, ()), "empty"))
+@example((BraidWord(2, (1,)), "positive"))
+@example((BraidWord(2, (-1,)), "signed"))
+@example((BraidWord(4, (-3,)), "split"))
+def test_halves_determinant_is_the_whole_up_to_the_unit(drawn):
+    """B = XY gives det(B - I) = det X det(Y - X^-1), det X = (-t)**e(X),
+    at every cut, sign and exponents included; a split closure leaves a
+    column of Y - X^-1 empty at every cut."""
+    w, kind = drawn
+    n, letters = w.strand_count, w.letters
+    whole = dense_bareiss(shifted_burau(w), ONE)
+    for cut in range(len(letters) + 1):
+        rows = _difference_rows(w, cut)
+        unit = monomial_unit(exponent_sum(BraidWord(n, letters[:cut])))
+        assert laurent_determinant(rows) * unit == whole
+        if kind in ("split", "empty"):
+            assert len(set().union(*rows)) < n - 1
+    if n > 1:
+        # The route's matrix, entry by entry, from the dense products.
+        cut = _cut(w)
+        tail = dense_burau(BraidWord(n, letters[cut:]))
+        inverse_head = dense_burau(invert(BraidWord(n, letters[:cut])))
+        assert dense(_difference_rows(w, cut)) == [
+            [y - x for y, x in zip(*pair)] for pair in zip(tail, inverse_head)
+        ]
+
+
+def test_cut_is_half_the_word_up_to_the_expansion_order():
+    assert EXPANSION_MAX == 5
+    assert _cut(BraidWord(6, (1, 2, 3, 4, 5))) == 2
+    assert _cut(BraidWord(7, (1, 2, 3, 4, 5, 6))) == 0
+    assert _cut(BraidWord(1, ())) == 0
+
+
+# -- a second route, at t = 1 --------------------------------------------------
+
+def linking_cofactor(word, k):
+    """The cofactor of the linking Laplacian (-lk(i, j) off the diagonal,
+    rows summing to zero) without row and column k, and the number of
+    components."""
+    lk = linking_matrix(word)
+    kept = [i for i in range(len(lk)) if i != k]
+    rows = [
+        {a: sum(lk[i]) if i == j else -lk[i][j] for a, j in enumerate(kept)} for i in kept
+    ]
+    return sparse_determinant(rows, 1), len(lk)
+
+
+@settings(deadline=None)
+@given(closure_words(), st.data())
+def test_alexander_at_one_matches_the_linking_cofactor(drawn, data):
+    """Delta vanishes to order mu - 1 at t = 1, and its (mu - 1)-th Taylor
+    coefficient there is +- any (mu - 1)-order cofactor of the linking
+    Laplacian (Hosokawa 1958, Hoste 1985)."""
+    w, _ = drawn
+    p = alexander_polynomial(w)
+    mu = len(linking_matrix(w))
+    cofactor, _ = linking_cofactor(w, data.draw(st.integers(0, mu - 1)))
+    taylor = [sum(c * comb(i, k) for i, c in enumerate(p.terms)) for k in range(mu)]
+    assert taylor[:-1] == [0] * (mu - 1)
+    assert abs(taylor[-1]) == abs(cofactor)
+
+
 # -- one packed point ---------------------------------------------------------
 
 def shifted_burau(word):
@@ -268,18 +365,22 @@ def test_alexander_matches_laurent_oracle(drawn):
 
 
 @pytest.mark.parametrize(
-    "repeats, width", [(2, 1), (4, 2), (6, 4), (12, 8), (24, 9)], ids=lambda v: str(v)
+    "repeats, whole, halves",
+    [(2, 1, 1), (4, 2, 1), (6, 4, 2), (12, 8, 4), (24, 9, 8), (48, 17, 9)],
+    ids=["2-1", "4-2", "6-4", "12-8", "24-9", "48-17"],
 )
-def test_alexander_on_both_sides_of_the_cutoff(repeats, width):
+def test_alexander_on_both_sides_of_the_cutoff(repeats, whole, halves):
+    # The certified widths of B - I and of the halves form the route takes.
     w = BraidWord(3, (1, -2) * repeats)
-    assert _certified_width([dict(enumerate(row)) for row in shifted_burau(w)]) == width
+    assert _cut(w) == repeats
+    assert certificate_holds(_difference_rows(w, 0)) == whole
+    assert certificate_holds(_difference_rows(w, _cut(w))) == halves
     assert alexander_polynomial(w) == laurent_alexander(w)
 
 
-def certificate_holds(word):
-    rows = shifted_burau(word)
-    width = _certified_width([dict(enumerate(row)) for row in rows])
-    det = dense_bareiss(rows, ONE)
+def certificate_holds(rows):
+    width = _certified_width(rows)
+    det = dense_bareiss(dense(rows), ONE)
     assert all(abs(c) < 1 << (8 * width - 1) for c in det.terms)
     return width
 
@@ -287,14 +388,19 @@ def certificate_holds(word):
 @settings(deadline=None, max_examples=60)
 @given(braid_words(max_strands=10, max_len=80))
 def test_determinant_fits_the_certified_width(w):
-    certificate_holds(w)
+    # B - I, and the matrix alexander_polynomial takes.
+    certificate_holds(_difference_rows(w, 0))
+    certificate_holds(_difference_rows(w, _cut(w)))
 
 
 @pytest.mark.parametrize(
     "name", ["axis", "infinity", "axis_all_positive", "infinity_all_positive"]
 )
 def test_reference_braids_take_the_packed_route(name):
-    assert certificate_holds(getattr(reference_braids(), name)) <= PACKED_MAX
+    # Order 8: the route takes B - I, the empty cut.
+    w = getattr(reference_braids(), name)
+    assert _cut(w) == 0
+    assert certificate_holds(_difference_rows(w, _cut(w))) <= PACKED_MAX
 
 
 SYLVESTER_4 = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
