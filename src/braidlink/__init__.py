@@ -11,24 +11,48 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+# Looked up once, not per field: every record a request builds runs the loop.
+_set_field = object.__setattr__
+
 
 class Record:
     """Base of an immutable value type.  A subclass names its fields in
-    __slots__, in order, and its __init__ sets each by object.__setattr__,
-    after any check.  A record equals only a record of the same type with
-    equal fields, hashes as the tuple of its fields, refuses assignment,
-    and `replace` builds one with some fields changed, through __init__."""
+    __slots__, in order, and the constructor binds them to its arguments, by
+    position or name; a subclass writes __init__ only to check or normalise
+    them, setting each by object.__setattr__.  A record equals only one of
+    its type with equal fields, hashes as their tuple, refuses assignment,
+    and `replace` rebuilds it through the constructor with fields changed."""
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        if named or len(values) != len(names):
+            values = self._bound(values, named)
+        for name, value in zip(names, values):
+            _set_field(self, name, value)
+
+    def _bound(self, values: tuple, named: dict) -> tuple:
+        """One value per field, in order; TypeError unless each is given once."""
+        names, rest = self.__slots__, self.__slots__[len(values):]
+        if len(values) + len(named) == len(names) and all(map(named.__contains__, rest)):
+            return values + tuple([named[name] for name in rest])
+        if len(values) > len(names):
+            problem = f"{len(values)} values for {len(names)} fields"
+        elif unknown := [name for name in named if name not in names]:
+            problem = f"unknown field {', '.join(unknown)}"
+        elif twice := [name for name in named if name not in rest]:
+            problem = f"field {', '.join(twice)} given twice"
+        else:
+            problem = f"missing field {', '.join(name for name in rest if name not in named)}"
+        raise TypeError(f"{type(self).__name__}({', '.join(names)}): {problem}")
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
 
     def replace(self, **changes):
-        for name in self.__slots__:
-            if name not in changes:
-                changes[name] = getattr(self, name)
-        return type(self)(**changes)
+        values = [changes.pop(name, getattr(self, name)) for name in self.__slots__]
+        return type(self)(*values, **changes)  # a change left over names no field
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):

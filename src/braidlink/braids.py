@@ -41,9 +41,6 @@ class StrandComponentMap(Record):
 
     __slots__ = ("cycles",)
 
-    def __init__(self, cycles: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "cycles", cycles)
-
     @property
     def component_count(self) -> int:
         return len(self.cycles)

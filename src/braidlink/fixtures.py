@@ -10,22 +10,18 @@ negative crossing of each half-turn by a positive one.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
+from . import Record
 from .braids import BraidWord, concat, parse_braid, tau
 
 AXIS_HALF_TEXT = "B9 1 4 7 -2 3 5 2 4 6 3 5 1 4 7 3 5 2 4 6 3 5 8 7 6 5 4 3 2 1"
 INFINITY_HALF_TEXT = "B9 1 4 5 4 8 -2 3 6 2 4 5 4 7 3 6 1 4 5 4 8 3 6 2 4 5 4 7 3 6"
 
 
-class ReferenceBraids(NamedTuple):
+class ReferenceBraids(Record):
     """The braid for the curve with the vertical axis line, the braid for the
     curve with the line at infinity, and their all-positive variants."""
 
-    axis: BraidWord
-    infinity: BraidWord
-    axis_all_positive: BraidWord
-    infinity_all_positive: BraidWord
+    __slots__ = ("axis", "infinity", "axis_all_positive", "infinity_all_positive")
 
 
 def _double(half: BraidWord) -> BraidWord:

@@ -30,21 +30,11 @@ class Point3(Record):
 
     __slots__ = ("x", "y", "z")
 
-    def __init__(self, x: int, y: int, z: int):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-
 
 class SpaceLine(Record):
     """Oriented affine line: base + t * direction, t in R."""
 
     __slots__ = ("label", "base", "direction")
-
-    def __init__(self, label: str, base: Point3, direction: Point3):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "direction", direction)
 
 
 def rotate_quarter_turn(p: Point3) -> Point3:
@@ -95,14 +85,6 @@ class Projection(Record):
 
     __slots__ = ("name", "plane_axes", "tone_axis", "infinity_is_strand")
 
-    def __init__(
-        self, name: str, plane_axes: tuple[str, str], tone_axis: str, infinity_is_strand: bool
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "plane_axes", plane_axes)
-        object.__setattr__(self, "tone_axis", tone_axis)
-        object.__setattr__(self, "infinity_is_strand", infinity_is_strand)
-
     def plane(self, p: Point3) -> Vector2:
         return (getattr(p, self.plane_axes[0]), getattr(p, self.plane_axes[1]))
 
@@ -139,11 +121,6 @@ class ProjectedLine(Record):
     """
 
     __slots__ = ("label", "base", "step")
-
-    def __init__(self, label: str, base: Vector2, step: Vector2):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "step", step)
 
 
 def reduced(*values) -> tuple[int, ...]:
@@ -225,24 +202,6 @@ class CrossingEvent(Record):
 
     __slots__ = ("kind", "labels", "angle", "position", "sign", "double_point", "positive_over")
 
-    def __init__(
-        self,
-        kind: str,
-        labels: tuple[str, ...],
-        angle: Direction | None,
-        position: Homogeneous | None = None,
-        sign: int | None = None,
-        double_point: str | None = None,
-        positive_over: str | None = None,
-    ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "angle", angle)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "double_point", double_point)
-        object.__setattr__(self, "positive_over", positive_over)
-
     @property
     def over(self) -> str | None:
         """The over strand's label: positive_over at a positive crossing,
@@ -278,9 +237,8 @@ def project_crossings(
             if det == 0:
                 if projection.infinity_is_strand:
                     labels += (INFINITY_LABEL,)
-                events.append(
-                    CrossingEvent("at_infinity", labels, upper_half_primitive(*pa.step))
-                )
+                angle = upper_half_primitive(*pa.step)
+                events.append(CrossingEvent("at_infinity", labels, angle, None, None, None, None))
                 continue
             # the crossing is pa's point at parameter n / det
             gap = (pb.base[0] - pa.base[0], pb.base[1] - pa.base[1])

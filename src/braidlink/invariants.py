@@ -34,26 +34,6 @@ class InvariantReport(Record):
         "determinant_goeritz", "determinant_burau", "alexander", "alexander_at",
     )
 
-    def __init__(
-        self,
-        strand_count: int,
-        component_count: int,
-        exponent_sum: int,
-        linking: tuple[tuple[int, ...], ...],
-        determinant_goeritz: int,
-        determinant_burau: int,
-        alexander: LaurentPolynomial,
-        alexander_at: tuple[tuple[int, int], ...],
-    ):
-        object.__setattr__(self, "strand_count", strand_count)
-        object.__setattr__(self, "component_count", component_count)
-        object.__setattr__(self, "exponent_sum", exponent_sum)
-        object.__setattr__(self, "linking", linking)
-        object.__setattr__(self, "determinant_goeritz", determinant_goeritz)
-        object.__setattr__(self, "determinant_burau", determinant_burau)
-        object.__setattr__(self, "alexander", alexander)
-        object.__setattr__(self, "alexander_at", alexander_at)
-
     @property
     def determinant(self) -> int:
         return abs(self.determinant_goeritz)

@@ -19,9 +19,9 @@ two's-complement slots at those widths in C; flipping each slot's top bit
 adds 2**(8*width-1) to it.  Wider slots take a per-coefficient loop.
 Every product of two polynomials is one packed multiplication, at the
 width of the bound min(terms) * max|f_i| * max|g_j| on their coefficients;
-the Burau product (burau.py) keeps its matrix entries packed, and
-det(B - I) is taken at one packed point wherever a Hadamard bound certifies
-a slot of at most 4 bytes.
+the Burau product (burau.py) keeps its matrix entries packed, and the
+docstring of matrices.py states when matrices.laurent_determinant takes a
+determinant at one packed point.
 
 Exact division is one packed divmod, at the width of the larger of
 max|dividend| and max|divisor|, and one read-back.  A remainder proves it

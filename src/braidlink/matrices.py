@@ -185,7 +185,3 @@ class IntegerMatrix(Record):
     """Immutable square integer matrix: its order and nonzero entries (row, column, value)."""
 
     __slots__ = ("nrows", "entries")
-
-    def __init__(self, nrows: int, entries: tuple[tuple[int, int, int], ...]):
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "entries", entries)

@@ -48,11 +48,6 @@ class SeifertData(Record):
 
     __slots__ = ("order", "entries", "split")
 
-    def __init__(self, order: int, entries: tuple[tuple[int, int, int], ...], split: bool):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "split", split)
-
     @property
     def matrix(self) -> IntegerMatrix:
         """V as a matrix."""

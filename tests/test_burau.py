@@ -338,6 +338,28 @@ def test_alexander_at_one_matches_the_linking_cofactor(drawn, data):
     assert abs(taylor[-1]) == abs(cofactor)
 
 
+@settings(deadline=None)
+@given(closure_words(), st.data())
+def test_signed_quotient_at_one_and_its_centre(drawn, data):
+    """The unnormalised quotient q = det(B - I) / (1 + ... + t^(n-1)), with
+    its sign and exponents: its (mu - 1)-th Taylor coefficient at t = 1 is
+    (-1)^(n + mu) times the linking Laplacian's cofactor, the lower ones
+    vanish, and where that cofactor is nonzero q is centred on
+    (e - n + 1) / 2, e the exponent sum.  The factor t^low of q is 1 at
+    t = 1, so it changes neither the lower coefficients' vanishing nor the
+    first one that may not vanish: both are read from q's terms."""
+    w, _ = drawn
+    n = w.strand_count
+    q = laurent_determinant(_difference_rows(w, 0)).exact_div(geometric_sum(n))
+    mu = len(linking_matrix(w))
+    cofactor, _ = linking_cofactor(w, data.draw(st.integers(0, mu - 1)))
+    taylor = [sum(c * comb(i, k) for i, c in enumerate(q.terms)) for k in range(mu)]
+    assert taylor == [0] * (mu - 1) + [(-1) ** (n + mu) * cofactor]
+    if cofactor:
+        low, high = q.low, q.low + len(q.terms) - 1
+        assert low + high == exponent_sum(w) - n + 1
+
+
 # -- one packed point ---------------------------------------------------------
 
 def shifted_burau(word):

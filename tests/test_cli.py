@@ -236,7 +236,7 @@ def corrupted(field):
     """The reference braids with field's last letter changed to sigma_1."""
     braids = reference_braids()
     word = getattr(braids, field)
-    return braids._replace(**{field: BraidWord(9, word.letters[:-1] + (1,))})
+    return braids.replace(**{field: BraidWord(9, word.letters[:-1] + (1,))})
 
 
 def test_paper_verify_detects_corruption():
