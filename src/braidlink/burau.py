@@ -14,18 +14,15 @@ the letters when the order n - 1 is at most matrices.EXPANSION_MAX, and
 det(B - I), X empty, otherwise.  The halves' entries are products of half
 as many letters, so they have about half the span and their Hadamard
 certificate about half the bits.  X^-1 is the product of the inverse word
-of X, its letters reversed and negated.  The products are built as sparse
-rows, {column: entry} maps of the nonzero entries, so no zero is stored,
-and the determinant is matrices.laurent_determinant of the rows of
-Y - X^-1, which says when it is taken at one packed point; burau_reduced is
-the dense view of one product, read by the tests and the benchmark's stage
-replay.
+of X, its letters reversed and negated.
 
 The products run on packed integers (Kronecker substitution, see
 laurent.py): each entry is one Python int, its polynomial at t = 2**w, so
-a letter costs each row three shifts and two additions of ints, and the
-entries are read back into Laurent polynomials once, after the last
-letter.  The slot width w comes from an integer pre-pass over the letters.
+a letter costs a row three shifts and two additions of ints.  Each
+letter's column and three shifts are worked out once, and then the whole
+word is applied to one row at a time, a list of ints with an empty border
+column on each side: right multiplication acts on each row on its own.
+The slot width w comes from an integer pre-pass over the letters.
 A new entry is +-left +- mid +- right, so, from bound 1 on every column
 (the identity) and 0 on the two empty border columns, a letter adds to the
 bound of the column it rewrites those of its two neighbours; the bounds
@@ -37,17 +34,35 @@ ordinary polynomial: a letter sets s_c of the column it rewrites to the
 least value that leaves each of the three terms a non-negative shift,
 max(s_left - 1, s_mid - 1, s_right) for sigma_i and
 max(s_left, s_mid + 1, s_right + 1) for its inverse.  Y - X^-1 takes
-column c at the larger of its two shifts, so the packed difference is
-taken before the one read-back.
+column c at the larger of its two shifts, so the difference is packed
+too.  A column no letter rewrites is the identity's in both products and
+zero in the difference.
+
+The entries of Y - X^-1 stay packed up to the determinant: the signed
+digits of each nonzero entry are read once (laurent.kronecker_digits) and
+handed with the packed value to matrices.digits_determinant, which takes
+the certificate and each column's least exponent from the digits and
+reuses the packed values where the certificate gives their slot width.
+No entry becomes a Laurent polynomial unless the determinant is taken by
+the Laurent elimination.  _difference_rows and burau_reduced are the
+polynomial views of the same products, read by the tests and the
+benchmark's stage replay.
 """
 
 from __future__ import annotations
 
 from operator import add
+from typing import Sequence
 
 from .braids import BraidWord
-from .laurent import ZERO, LaurentPolynomial, geometric_sum, kronecker_unpack, slot_width
-from .matrices import EXPANSION_MAX, laurent_determinant
+from .laurent import (
+    LaurentPolynomial,
+    geometric_sum,
+    kronecker_digits,
+    kronecker_unpack,
+    slot_width,
+)
+from .matrices import EXPANSION_MAX, digits_determinant
 
 
 def _column_bounds(n: int, letters: tuple[int, ...]) -> list[int]:
@@ -60,56 +75,83 @@ def _column_bounds(n: int, letters: tuple[int, ...]) -> list[int]:
     return bound
 
 
-def _packed_product(
+def _letter_steps(
     n: int, letters: tuple[int, ...], w: int
-) -> tuple[list[dict[int, int]], list[int]]:
-    """The product's sparse rows, column c packed at t = 2**w times t**s_c,
-    and shift, where shift[c + 1] is s_c."""
+) -> tuple[list[tuple[int, int, int, int]], list[int]]:
+    """Each letter's step (r, a, b, c), which rewrites column r - 1 of a row
+    as left << a - mid << b + right << c at t = 2**w, and shift, where
+    shift[c + 1] is the product's s_c."""
     # A letter sets its column's shift to at least s_mid - 1, so no shift
     # falls below -len(letters): the borders' shift never raises s.
     border = -len(letters) - 2
     shift = [border] + [0] * (n - 1) + [border]
-    rows = [{i: 1} for i in range(n - 1)]
+    steps = []
     for e in letters:
         r = abs(e)
         left, mid, right = shift[r - 1], shift[r], shift[r + 1]
         if e > 0:  # sigma_i: t*(left - mid) + right
             s = max(left - 1, mid - 1, right)
-            a, b, c = (s + 1 - left) * w, (s + 1 - mid) * w, (s - right) * w
+            steps.append((r, (s + 1 - left) * w, (s + 1 - mid) * w, (s - right) * w))
         else:  # its inverse: left + (right - mid)/t
             s = max(left, mid + 1, right + 1)
-            a, b, c = (s - left) * w, (s - 1 - mid) * w, (s - 1 - right) * w
+            steps.append((r, (s - left) * w, (s - 1 - mid) * w, (s - 1 - right) * w))
         shift[r] = s
-        # Right-multiplying by a generator only rewrites column r - 1.
-        for row in rows:
-            entry = (row.get(r - 2, 0) << a) - (row.pop(r - 1, 0) << b) + (row.get(r, 0) << c)
-            if entry:
-                row[r - 1] = entry
-    return rows, shift
+    return steps, shift
 
 
-def _difference_rows(word: BraidWord, cut: int) -> list[dict[int, LaurentPolynomial]]:
-    """Y - X^-1 as sparse rows, X the first cut letters of the word and Y
-    the rest; no rows for one strand."""
+def _product_row(i: int, n: int, steps: list[tuple[int, int, int, int]]) -> list[int]:
+    """Row i of the product of the steps' letters: column c packed at index
+    c + 1, between the two zero borders."""
+    row = [0] * (n + 1)
+    row[i + 1] = 1
+    # Right-multiplying by a generator only rewrites one column of each row.
+    for r, a, b, c in steps:
+        row[r] = (row[r - 1] << a) - (row[r] << b) + (row[r + 1] << c)
+    return row
+
+
+def _packed_difference(
+    word: BraidWord, cut: int
+) -> tuple[list[dict[int, tuple[Sequence[int], int]]], list[dict[int, int]], int]:
+    """Y - X^-1, X the first cut letters of the word and Y the rest: its
+    rows, {column: (digits, low)} for each nonzero entry, the same entries
+    packed, and their slot width in bytes; no rows for one strand."""
     n, letters = word.strand_count, word.letters
     tail, inverse_head = letters[cut:], tuple(-e for e in reversed(letters[:cut]))
     width = slot_width(max(map(add, _column_bounds(n, tail), _column_bounds(n, inverse_head))))
     w = 8 * width
-    ys, y_shift = _packed_product(n, tail, w)
-    xs, x_shift = _packed_product(n, inverse_head, w)
-    shift = list(map(max, y_shift, x_shift))
-    rows = []
-    for y, x in zip(ys, xs):
-        row = {}
-        for j in y.keys() | x.keys():
-            s = shift[j + 1]
-            v = (y.get(j, 0) << (s - y_shift[j + 1]) * w) - (
-                x.get(j, 0) << (s - x_shift[j + 1]) * w
-            )
-            if v:
-                row[j] = kronecker_unpack(v, width, -s)
+    y_steps, y_shift = _letter_steps(n, tail, w)
+    x_steps, x_shift = _letter_steps(n, inverse_head, w)
+    # A column no letter rewrites is the identity's in both products, so
+    # zero in the difference; the others are taken at the larger shift.
+    touched = {abs(e) for e in letters}
+    columns = []
+    for r in sorted(touched):
+        s = max(y_shift[r], x_shift[r])
+        columns.append((r, (s - y_shift[r]) * w, (s - x_shift[r]) * w, -s))
+    rows, packed = [], []
+    for i in range(n - 1):
+        row, values = {}, {}
         rows.append(row)
-    return rows
+        packed.append(values)
+        if touched.isdisjoint((i, i + 1, i + 2)):
+            continue  # no letter reads row i's one entry: zero in the difference
+        y, x = _product_row(i, n, y_steps), _product_row(i, n, x_steps)
+        for r, a, b, low in columns:
+            v = (y[r] << a) - (x[r] << b)
+            if v:
+                values[r - 1] = v
+                row[r - 1] = (kronecker_digits(v, width), low)
+    return rows, packed, width
+
+
+def _difference_rows(word: BraidWord, cut: int) -> list[dict[int, LaurentPolynomial]]:
+    """Y - X^-1 as sparse rows of polynomials, X the first cut letters of
+    the word and Y the rest; no rows for one strand."""
+    return [
+        {j: LaurentPolynomial(low, digits) for j, (digits, low) in row.items()}
+        for row in _packed_difference(word, cut)[0]
+    ]
 
 
 def _cut(word: BraidWord) -> int:
@@ -128,13 +170,13 @@ def burau_reduced(word: BraidWord) -> tuple[tuple[LaurentPolynomial, ...], ...]:
     if n < 2:
         raise ValueError("reduced Burau needs n >= 2")
     width = slot_width(max(_column_bounds(n, letters)))
-    rows, shift = _packed_product(n, letters, 8 * width)
+    steps, shift = _letter_steps(n, letters, 8 * width)
     return tuple(
         tuple(
-            kronecker_unpack(row[j], width, -shift[j + 1]) if j in row else ZERO
-            for j in range(n - 1)
+            kronecker_unpack(v, width, -s)
+            for v, s in zip(_product_row(i, n, steps)[1:n], shift[1:n])
         )
-        for row in rows
+        for i in range(n - 1)
     )
 
 
@@ -146,7 +188,7 @@ def alexander_polynomial(word: BraidWord) -> LaurentPolynomial:
     divided exactly by 1 + t + ... + t^(n-1).  Split closures give the zero
     polynomial; the one-strand word gives 1.
     """
-    det = laurent_determinant(_difference_rows(word, _cut(word)))
+    det = digits_determinant(*_packed_difference(word, _cut(word)))
     return _normalize(det.exact_div(geometric_sum(word.strand_count)))
 
 

@@ -9,19 +9,20 @@ integers.  Division is only provided as exact division, ``exact_div`` or
 
 Kronecker substitution packs a polynomial into one Python int: its value
 at t = 2**(8*width), one slot of width bytes per coefficient.
-``kronecker_pack`` and ``kronecker_unpack`` are the one pair that packs a
-coefficient list and reads a packed int back as signed digits, exactly
-whenever every coefficient lies strictly between -2**(8*width-1) and
-2**(8*width-1); each caller passes an exact integer bound on its
-coefficients to ``slot_width``, and no float is involved.  That gives 1,
-2, 4 or 8 bytes where it can, since struct converts a whole list of
-two's-complement slots at those widths in C; flipping each slot's top bit
-adds 2**(8*width-1) to it.  Wider slots take a per-coefficient loop.
+``kronecker_pack`` and ``kronecker_digits`` are the one pair that packs a
+coefficient list and reads a packed int back as signed digits, which
+``kronecker_unpack`` makes a polynomial, exactly whenever every
+coefficient lies strictly between -2**(8*width-1) and 2**(8*width-1);
+each caller passes an exact integer bound on its coefficients to
+``slot_width``, and no float is involved.  That gives 1, 2, 4 or 8 bytes
+where it can, since struct converts a whole list of two's-complement
+slots at those widths in C; flipping each slot's top bit adds
+2**(8*width-1) to it.  Wider slots take a per-coefficient loop.
 Every product of two polynomials is one packed multiplication, at the
 width of the bound min(terms) * max|f_i| * max|g_j| on their coefficients;
-the Burau product (burau.py) keeps its matrix entries packed, and the
-docstring of matrices.py states when matrices.laurent_determinant takes a
-determinant at one packed point.
+the Burau product (burau.py) keeps its matrix entries packed up to the
+determinant, and the docstring of matrices.py states when
+matrices.digits_determinant takes a determinant at one packed point.
 
 Exact division is one packed divmod, at the width of the larger of
 max|dividend| and max|divisor|, and one read-back.  A remainder proves it
@@ -209,24 +210,28 @@ def kronecker_pack(coeffs: Sequence[int], width: int) -> int:
     return (int.from_bytes(twos, "little") ^ halves) - halves
 
 
-def kronecker_unpack(value: int, width: int, low: int) -> LaurentPolynomial:
-    """The polynomial sum(d_i * t**(low + i)) over the signed
-    base-2**(8*width) digits d_i of value, each strictly between
-    -2**(8*width-1) and 2**(8*width-1): the inverse of kronecker_pack."""
+def kronecker_digits(value: int, width: int) -> Sequence[int]:
+    """The signed base-2**(8*width) digits of value, lowest first, each
+    strictly between -2**(8*width-1) and 2**(8*width-1): the coefficients
+    kronecker_pack would take back to value, perhaps with zeros at either end."""
     # size such digits hold every value below 2**(8*width*size - 2) in
-    # magnitude, so the bit length gives enough of them; zero ends are trimmed.
+    # magnitude, so the bit length gives enough of them.
     size = (value.bit_length() + 1) // (8 * width) + 1
     halves = _halves(size, width)
     twos = ((value + halves) ^ halves).to_bytes(width * size, "little")
     code = _STRUCT_CODES.get(width)
     if code:
-        coeffs = struct.unpack(f"<{size}{code}", twos)
-    else:
-        coeffs = [
-            int.from_bytes(twos[i : i + width], "little", signed=True)
-            for i in range(0, width * size, width)
-        ]
-    return LaurentPolynomial(low, coeffs)
+        return struct.unpack(f"<{size}{code}", twos)
+    return [
+        int.from_bytes(twos[i : i + width], "little", signed=True)
+        for i in range(0, width * size, width)
+    ]
+
+
+def kronecker_unpack(value: int, width: int, low: int) -> LaurentPolynomial:
+    """The polynomial sum(d_i * t**(low + i)) over the kronecker_digits d_i
+    of value: the inverse of kronecker_pack."""
+    return LaurentPolynomial(low, kronecker_digits(value, width))
 
 
 ZERO = LaurentPolynomial(0, ())

@@ -13,19 +13,26 @@ quotient, is exact in any integral domain (E. H. Bareiss, Math. Comp. 1968):
 // is floor division with no remainder in Z and the checked exact division
 in Z[t, 1/t].  A step touches only the pivot-row columns of the rows below.
 
-laurent_determinant, over Z[t, 1/t], uses one packed point where a
-certificate allows.  On |t| = 1 an entry has |a_ij(t)| <= ||a_ij||_1, the sum
-of its |coefficients|, which bounds each of them, so by Hadamard's
-inequality every coefficient of the determinant is at most sqrt(S), S =
-prod_i sum_j ||a_ij||_1**2.  With width the slot_width of isqrt(S) + 1, each
-column is divided by its least power of t, every entry is packed at t =
-2**(8*width), and sparse_determinant over Z gives one integer that reads
-back as the determinant: evaluation is a ring map, so the integer Bareiss
-quotients are exact.  Its minors are about as wide as the slot times the
-span of the determinant, so past PACKED_MAX bytes the rows are eliminated
-over Z[t, 1/t] instead.  A zero row makes S = 0 and the determinant 0 at
-once: the other entries need not fit a one-byte slot, so nothing is packed.
-A zero column, a column with no nonzero entry, gives 0 at once too.
+digits_determinant is the one determinant over Z[t, 1/t], and the one place
+that picks its route.  It reads each nonzero entry as its digits, the
+coefficients from a least exponent up, and takes, in one pass over them,
+each column's least exponent and the certificate.  On |t| = 1 an entry has
+|a_ij(t)| <= ||a_ij||_1, the sum of its |coefficients|, which bounds each
+of them, so by Hadamard's inequality every coefficient of the determinant
+is at most sqrt(S), S = prod_i sum_j ||a_ij||_1**2.  With width the
+slot_width of isqrt(S) + 1, each column is divided by its least power of
+t, every entry is packed at t = 2**(8*width), and sparse_determinant over Z
+gives one integer that reads back as the determinant: evaluation is a ring
+map, so the integer Bareiss quotients are exact.  An entry handed in
+already packed at that width (the Burau product's, see burau.py) is only
+shifted by its column's least exponent; any other is packed from its
+digits.  The minors are about as wide as the slot times the span of the
+determinant, so past PACKED_MAX bytes the rows are eliminated over
+Z[t, 1/t] instead, the only route on which an entry becomes a
+LaurentPolynomial.  A zero row makes S = 0 and the determinant 0 at once:
+the other entries need not fit a one-byte slot, so nothing is packed.  A
+zero column, a column with no nonzero entry, gives 0 at once too.
+laurent_determinant hands rows of LaurentPolynomial entries to it.
 
 Up to order EXPANSION_MAX the packed point is taken at any certified width,
 by an expansion over Z memoised on column subsets: m 2**(m-1) products for
@@ -64,43 +71,86 @@ def bareiss_determinant_laurent(rows: Sequence[Sequence[LaurentPolynomial]]) -> 
     return laurent_determinant([dict(enumerate(r)) for r in rows])
 
 
-def _certified_width(rows: list[dict[int, LaurentPolynomial]]) -> int:
-    """The slot width in bytes that the certificate S gives (see above); 0
-    when S = 0, where a row and the determinant are zero."""
-    certificate = 1
-    for row in rows:
-        certificate *= sum(sum(map(abs, p.terms)) ** 2 for p in row.values())
-    return slot_width(isqrt(certificate) + 1) if certificate else 0
-
-
 def laurent_determinant(rows: list[dict[int, LaurentPolynomial]]) -> LaurentPolynomial:
     """Determinant of the n x n matrix over Z[t, 1/t] whose row i has the
     entries rows[i] ({column: value}, absent columns zero)."""
-    # low[j]: the least exponent in column j, for each column with a
-    # nonzero entry.  A stored zero is no entry: dense rows, such as
-    # bareiss_determinant_laurent's, store every zero.
+    return digits_determinant(_as_digits(rows))
+
+
+def _as_digits(
+    rows: list[dict[int, LaurentPolynomial]]
+) -> list[dict[int, tuple[Sequence[int], int]]]:
+    """The rows as digits_determinant reads them.  A stored zero is no
+    entry: dense rows, such as bareiss_determinant_laurent's, store every
+    zero."""
+    return [{j: (p.terms, p.low) for j, p in row.items() if p} for row in rows]
+
+
+def _certified_width(rows: list[dict[int, LaurentPolynomial]]) -> int:
+    """The slot width in bytes that the certificate S gives (see above); 0
+    when S = 0, where a row and the determinant are zero."""
+    return _lows_and_width(_as_digits(rows))[1]
+
+
+def _lows_and_width(
+    rows: list[dict[int, tuple[Sequence[int], int]]]
+) -> tuple[dict[int, int], int]:
+    """One pass over the entries' digits: the least exponent of each column
+    with an entry, and the slot width that the certificate S gives (0 when S
+    = 0)."""
     low: dict[int, int] = {}
+    certificate = 1
     for row in rows:
-        for j, p in row.items():
-            if p:
-                low[j] = min(low.get(j, p.low), p.low)
-    if len(low) < len(rows):  # a zero column
-        return ZERO
-    width = _certified_width(rows)
-    if not width:  # a zero row
+        total = 0
+        for j, (digits, e) in row.items():
+            total += sum(map(abs, digits)) ** 2
+            i = 0
+            while not digits[i]:
+                i += 1
+            e += i
+            if j not in low or e < low[j]:
+                low[j] = e
+        certificate *= total
+    return low, slot_width(isqrt(certificate) + 1) if certificate else 0
+
+
+def digits_determinant(
+    rows: list[dict[int, tuple[Sequence[int], int]]],
+    packed: list[dict[int, int]] | None = None,
+    width: int = 0,
+) -> LaurentPolynomial:
+    """Determinant of the n x n matrix over Z[t, 1/t] whose row i has the
+    nonzero entries rows[i], {column: (digits, low)} for the entry
+    sum(digits[k] * t**(low + k)), digits perhaps with zeros at either end.
+    packed[i][j], when given, is the same entry's digits at t =
+    2**(8*width), and is taken as it is when the certificate gives width."""
+    low, certified = _lows_and_width(rows)
+    if len(low) < len(rows) or not certified:  # a zero column or a zero row
         return ZERO
     small = len(rows) <= EXPANSION_MAX
-    if width > PACKED_MAX and not small:
-        return sparse_determinant(rows, ONE)
+    if certified > PACKED_MAX and not small:
+        return sparse_determinant(
+            [{j: LaurentPolynomial(e, digits) for j, (digits, e) in row.items()} for row in rows],
+            ONE,
+        )
+    if packed is None or certified != width:
+        packed = [
+            {j: kronecker_pack(digits, certified) for j, (digits, _) in row.items()}
+            for row in rows
+        ]
     # Column j is divided by t**low[j], so every entry is a polynomial and
-    # the determinant is t**sum(low) times theirs.
-    w = 8 * width
-    packed = [
-        {j: kronecker_pack(p.terms, width) << (p.low - low[j]) * w for j, p in row.items() if p}
-        for row in rows
-    ]
-    det = _expanded_determinant(packed) if small else sparse_determinant(packed, 1)
-    return kronecker_unpack(det, width, sum(low.values()))
+    # the determinant is t**sum(low) times theirs.  An entry whose digits
+    # start below low[j] has zeros there, so the right shift is exact.
+    w = 8 * certified
+    ints = []
+    for row, values in zip(rows, packed):
+        aligned = {}
+        for j, v in values.items():
+            k = (row[j][1] - low[j]) * w
+            aligned[j] = v << k if k >= 0 else v >> -k
+        ints.append(aligned)
+    det = _expanded_determinant(ints) if small else sparse_determinant(ints, 1)
+    return kronecker_unpack(det, certified, sum(low.values()))
 
 
 def _expanded_determinant(rows: list[dict[int, int]]) -> int:
@@ -128,45 +178,33 @@ def sparse_determinant(rows: list[dict[int, R]], one: R) -> R:
     n = len(rows)
     # rows[i][j] is (value, s): the entry's value after step s.
     rows = [{j: (v, 0) for j, v in r.items() if v} for r in rows]
-    # holders[j]: the rows not yet used as pivot rows with a nonzero in column j
-    holders: list[set[int]] = [set() for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j in row:
-            holders[j].add(i)
     pivots = [one]  # pivots[k]: the divisor of step k
     negate = False
     for k in range(n):
-        below = holders[k]
-        if k not in below:
-            if not below:
+        if k not in rows[k]:
+            # Swap in the first row below that holds column k.
+            for i in range(k + 1, n):
+                if k in rows[i]:
+                    break
+            else:
                 return one - one
-            i = min(below)
-            for j in rows[k]:
-                holders[j].discard(k)
-            for j in rows[i]:
-                holders[j].discard(i)
             rows[k], rows[i] = rows[i], rows[k]
-            for j in rows[k]:
-                holders[j].add(k)
-            for j in rows[i]:
-                holders[j].add(i)
             negate = not negate
         prev = pivots[k]
         pivot_row = {j: v if s == k else v * prev // pivots[s] for j, (v, s) in rows[k].items()}
         pivot = pivot_row.pop(k)
-        for j in pivot_row:
-            holders[j].discard(k)
-        below.discard(k)
-        for i in below:
+        for i in range(k + 1, n):
             row = rows[i]
-            factor, s = row.pop(k)
+            held = row.pop(k, None)
+            if held is None:
+                continue
+            factor, s = held
             minus = -factor if s == k else -factor * prev // pivots[s]
             # Only pivot-row columns change; the others stay as stored.
             for j, v in pivot_row.items():
                 entry = row.get(j)
                 if entry is None:
                     row[j] = (minus * v // prev, k + 1)
-                    holders[j].add(i)
                     continue
                 w, s = entry
                 if s != k:
@@ -176,7 +214,6 @@ def sparse_determinant(rows: list[dict[int, R]], one: R) -> R:
                     row[j] = (w, k + 1)
                 else:
                     del row[j]
-                    holders[j].discard(i)
         pivots.append(pivot)
     return -pivots[n] if negate else pivots[n]
 

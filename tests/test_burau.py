@@ -1,5 +1,7 @@
+import sys
 import tracemalloc
-from math import comb
+from math import comb, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,16 +18,19 @@ from braidlink.braids import (
 from braidlink.burau import (
     _cut,
     _difference_rows,
+    _packed_difference,
     alexander_polynomial,
     burau_reduced,
     determinant_from_burau,
 )
 from braidlink.fixtures import reference_braids
-from braidlink.laurent import ONE, ZERO, LaurentPolynomial, geometric_sum
+from braidlink.laurent import ONE, ZERO, LaurentPolynomial, geometric_sum, slot_width
 from braidlink.matrices import (
     EXPANSION_MAX,
     PACKED_MAX,
     _certified_width,
+    _lows_and_width,
+    digits_determinant,
     laurent_determinant,
     sparse_determinant,
 )
@@ -459,3 +464,166 @@ def test_eliminated_determinant_exact_at_the_certificate_edge(scale, width):
     # Order 8 is eliminated at the packed point up to PACKED_MAX bytes and
     # over Z[t, 1/t] above.
     assert_exact_at_the_certificate_edge(SYLVESTER_8, scale, width)
+
+
+# -- the packed route: each entry's digits read once ---------------------------
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+try:
+    import workloads
+finally:
+    sys.path.remove(str(BENCH))
+
+# Every braid word of the seed-0 corpora of both benchmark workloads.
+CORPUS_WORDS = sorted(
+    {
+        BraidWord(word.strands, word.letters)
+        for name in workloads.WORKLOADS
+        for request in workloads.corpus(name, 0)
+        for word in request.words
+    },
+    key=lambda w: (w.strand_count, w.letters),
+)
+
+
+def oracle_width(word, cut):
+    """The certified width of Y - X^-1 from the dense products: the slot
+    width of isqrt(S) + 1, S = prod_i sum_j ||a_ij||_1**2, and 0 when S = 0."""
+    n, letters = word.strand_count, word.letters
+    if n < 2:
+        return slot_width(2)
+    tail = dense_burau(BraidWord(n, letters[cut:]))
+    inverse_head = dense_burau(invert(BraidWord(n, letters[:cut])))
+    certificate = 1
+    for y_row, x_row in zip(tail, inverse_head):
+        certificate *= sum(sum(map(abs, (y - x).terms)) ** 2 for y, x in zip(y_row, x_row))
+    return slot_width(isqrt(certificate) + 1) if certificate else 0
+
+
+def recorded_route(compute):
+    """compute()'s value and the route it took: "zero", "expanded",
+    "packed" or "laurent", the matrix handed to that determinant, and the
+    number of entries matrices packed."""
+    calls, packs = [], []
+    expanded, eliminated, pack = (
+        matrices._expanded_determinant,
+        matrices.sparse_determinant,
+        matrices.kronecker_pack,
+    )
+
+    def expand(rows):
+        calls.append(("expanded", rows))
+        return expanded(rows)
+
+    def eliminate(rows, one):
+        calls.append(("packed" if one == 1 else "laurent", rows))
+        return eliminated(rows, one)
+
+    def counted_pack(coeffs, width):
+        packs.append(width)
+        return pack(coeffs, width)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrices, "_expanded_determinant", expand)
+        patch.setattr(matrices, "sparse_determinant", eliminate)
+        patch.setattr(matrices, "kronecker_pack", counted_pack)
+        value = compute()
+    assert len(calls) <= 1
+    route, rows = calls[0] if calls else ("zero", None)
+    return value, route, rows, len(packs)
+
+
+def assert_digit_pass_matches_the_polynomials(word):
+    """The digit pass certifies the width the polynomial entries certify,
+    and the route hands the same matrix to the same determinant; the
+    normalised quotient is the dense oracle's."""
+    cut = _cut(word)
+    rows, packed, width = _packed_difference(word, cut)
+    polynomials = _difference_rows(word, cut)
+    certified = _lows_and_width(rows)[1]
+    assert certified == _certified_width(polynomials) == oracle_width(word, cut)
+    digits = recorded_route(lambda: digits_determinant(rows, packed, width))
+    laurent = recorded_route(lambda: laurent_determinant(polynomials))
+    assert digits[:3] == laurent[:3]
+    if word.strand_count > 1:
+        assert alexander_polynomial(word) == laurent_alexander(word)
+    return digits[1], width, certified, digits[3]
+
+
+@settings(deadline=None, max_examples=80)
+@given(closure_words())
+def test_digit_pass_matches_the_polynomial_entries(drawn):
+    assert_digit_pass_matches_the_polynomials(drawn[0])
+
+
+@pytest.mark.parametrize("word", CORPUS_WORDS, ids=lambda w: f"B{w.strand_count}-{len(w.letters)}")
+def test_digit_pass_on_the_benchmark_corpora(word):
+    assert_digit_pass_matches_the_polynomials(word)
+
+
+def alternating(n, repeats):
+    """(1 -2 3 -4 ...)^repeats on n strands: every generator, both signs."""
+    return BraidWord(n, tuple((-1) ** i * (i + 1) for i in range(n - 1)) * repeats)
+
+
+@pytest.mark.parametrize(
+    "word, route, width, certified, packs",
+    [
+        # B4 1 1 3 -3 1 leaves row 2 of Y - X^-1 zero and B4 1 1 3 3 1
+        # column 1 (see test_split_word_is_zero_before_any_determinant).
+        (parse_braid("B4 1 1 3 -3 1"), "zero", 1, 0, 0),
+        (parse_braid("B4 1 1 3 3 1"), "zero", 1, 1, 0),
+        (BraidWord(1, ()), "expanded", 1, 1, 0),
+        (BraidWord(2, (1, 1, 1)), "expanded", 1, 1, 0),
+        # The certificate gives the product's width: its entries are reused.
+        (reference_braids().axis, "packed", 4, 4, 0),
+        # A narrower certificate: each of the 40 entries is packed again.
+        (reference_braids().axis_all_positive, "packed", 4, 2, 40),
+        # Slots wider than 8 bytes, both in the product and the certificate.
+        (BraidWord(3, (1, -2) * 100), "expanded", 9, 18, 4),
+        # The Laurent elimination, past PACKED_MAX on orders 6 to 8.
+        (alternating(7, 4), "laurent", 2, 8, 0),
+        (alternating(8, 4), "laurent", 2, 9, 0),
+        (alternating(9, 4), "laurent", 2, 10, 0),
+        # Zero rows under wide slots: the words of
+        # test_packed_product_past_eight_byte_slots on 7 to 9 strands.
+        *(
+            (BraidWord(n, period * repeats), "zero", width, 0, 0)
+            for n in (7, 8, 9)
+            for period, repeats, width in (((1, -2), 60, 11), ((1, -2, 3), 80, 20))
+        ),
+    ],
+    ids=[
+        "zero-row",
+        "zero-column",
+        "one-strand",
+        "two-strands",
+        "reused",
+        "repacked",
+        "past-eight-bytes",
+        *(f"laurent-B{n}" for n in (7, 8, 9)),
+        *(f"zero-row-B{n}-{p}" for n in (7, 8, 9) for p in ("1-2", "1-2-3")),
+    ],
+)
+def test_each_branch_of_the_packed_route(word, route, width, certified, packs):
+    assert assert_digit_pass_matches_the_polynomials(word) == (route, width, certified, packs)
+
+
+@pytest.mark.parametrize(
+    "name", ["axis", "infinity", "axis_all_positive", "infinity_all_positive"]
+)
+def test_reference_route_builds_no_polynomial_per_entry(name, monkeypatch):
+    # The matrix has 40-47 nonzero entries; the route builds a polynomial
+    # only for the determinant's read-back, the division and the
+    # normalisation.
+    built = []
+    init = LaurentPolynomial.__init__
+
+    def counted(self, low, terms):
+        built.append(low)
+        init(self, low, terms)
+
+    monkeypatch.setattr(LaurentPolynomial, "__init__", counted)
+    alexander_polynomial(getattr(reference_braids(), name))
+    assert len(built) <= 6
