@@ -141,6 +141,12 @@ def tau(word: BraidWord) -> BraidWord:
     )
 
 
+def full_turn(half: BraidWord) -> BraidWord:
+    """The full-turn word of a half-turn word: the half turn followed by its
+    flipped image, as the scanning line comes back reversed."""
+    return concat(half, tau(half))
+
+
 def conjugate(word: BraidWord, g: BraidWord) -> BraidWord:
     """g * word * g^-1."""
     return concat(concat(g, word), invert(g))
@@ -236,8 +242,8 @@ def components_of_antipodal_closure(half_word: BraidWord) -> StrandComponentMap:
     """Components when bottom position i is joined to top position n+1-i.
 
     This is the closure appropriate for a half-turn word w whose full turn
-    is concat(w, tau(w)); the standard closure of the full word double
-    covers this one.
+    is full_turn(w); the standard closure of the full word double covers
+    this one.
     """
     n = half_word.strand_count
     return StrandComponentMap(cycles(tuple(n + 1 - p for p in closure_permutation(half_word))))

@@ -44,9 +44,8 @@ handed with the packed value to matrices.digits_determinant, which takes
 the certificate and each column's least exponent from the digits and
 reuses the packed values where the certificate gives their slot width.
 No entry becomes a Laurent polynomial unless the determinant is taken by
-the Laurent elimination.  _difference_rows and burau_reduced are the
-polynomial views of the same products, read by the tests and the
-benchmark's stage replay.
+the Laurent elimination.  burau_reduced is the polynomial view of the same
+product, read by the tests and the benchmark's stage replay.
 """
 
 from __future__ import annotations
@@ -143,15 +142,6 @@ def _packed_difference(
                 values[r - 1] = v
                 row[r - 1] = (kronecker_digits(v, width), low)
     return rows, packed, width
-
-
-def _difference_rows(word: BraidWord, cut: int) -> list[dict[int, LaurentPolynomial]]:
-    """Y - X^-1 as sparse rows of polynomials, X the first cut letters of
-    the word and Y the rest; no rows for one strand."""
-    return [
-        {j: LaurentPolynomial(low, digits) for j, (digits, low) in row.items()}
-        for row in _packed_difference(word, cut)[0]
-    ]
 
 
 def _cut(word: BraidWord) -> int:

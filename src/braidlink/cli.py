@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse errors,
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from importlib import import_module
@@ -82,7 +81,6 @@ MAX_LETTERS = 512
 MAX_TOKEN = 4304
 # The longest text of MAX_LETTERS + 1 such tokens, one separator after each.
 MAX_CHARS = (MAX_LETTERS + 1) * (MAX_TOKEN + 1)
-CHUNK = 1 << 16  # characters read from a word stream at a time
 
 
 class UsageError(Exception):
@@ -91,38 +89,30 @@ class UsageError(Exception):
 
 def _read_text(argument: str) -> list[str]:
     """The tokens of the braid text WORD names, which parse_braid reads as
-    they are.  A stream is read a chunk at a time and refused once it is
-    past a limit: more tokens than MAX_LETTERS + 1, a token longer than
-    MAX_TOKEN, or more characters than MAX_CHARS.  So a stream that never
-    ends is refused too."""
+    they are.  One read takes at most MAX_CHARS + 1 characters, so a stream
+    that never ends is refused too.  The text is refused for more tokens
+    than MAX_LETTERS + 1, else for a token longer than MAX_TOKEN, else for
+    more characters than MAX_CHARS."""
     try:
         if argument == "-":
-            return _read_tokens(sys.stdin)
-        if argument.startswith("@"):
+            text = sys.stdin.read(MAX_CHARS + 1)
+        elif argument.startswith("@"):
             with open(argument[1:], "r", encoding="utf-8") as handle:
-                return _read_tokens(handle)
+                text = handle.read(MAX_CHARS + 1)
+        else:
+            text = argument[: MAX_CHARS + 1]
     except (OSError, UnicodeDecodeError) as err:
         raise UsageError(err) from err
-    return _read_tokens(io.StringIO(argument))
-
-
-def _read_tokens(stream) -> list[str]:
-    tokens: list[str] = []
-    partial = ""  # the last token read, while a chunk may go on with it
-    size = 0
-    while chunk := stream.read(CHUNK):
-        size += len(chunk)
-        if size > MAX_CHARS:
-            raise UsageError(f"braid text has more than {MAX_CHARS} characters")
-        new = (partial + chunk).replace(",", " ").split()
-        partial = "" if chunk[-1] == "," or chunk[-1].isspace() else new.pop()
-        tokens += new
-        # Every token but a leading B<n> header is at least one letter.
-        if len(tokens) + bool(partial) > MAX_LETTERS + 1:
-            raise UsageError(f"braid has more than {MAX_LETTERS} letters")
-        if any(len(token) > MAX_TOKEN for token in (*new, partial)):
-            raise UsageError(f"token of more than {MAX_TOKEN} characters is too long")
-    return tokens + [partial] if partial else tokens
+    # At most one split past the limit, so the list stays short; every
+    # token but a leading B<n> header is at least one letter.
+    tokens = text.replace(",", " ").split(None, MAX_LETTERS + 1)
+    if len(tokens) > MAX_LETTERS + 1:
+        raise UsageError(f"braid has more than {MAX_LETTERS} letters")
+    if any(len(token) > MAX_TOKEN for token in tokens):
+        raise UsageError(f"token of more than {MAX_TOKEN} characters is too long")
+    if len(text) > MAX_CHARS:
+        raise UsageError(f"braid text has more than {MAX_CHARS} characters")
+    return tokens
 
 
 def _too_long_to_print(alexander: LaurentPolynomial, point: int) -> bool:

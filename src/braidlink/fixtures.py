@@ -11,7 +11,7 @@ negative crossing of each half-turn by a positive one.
 from __future__ import annotations
 
 from . import Record
-from .braids import BraidWord, concat, parse_braid, tau
+from .braids import BraidWord, full_turn, parse_braid
 
 AXIS_HALF_TEXT = "B9 1 4 7 -2 3 5 2 4 6 3 5 1 4 7 3 5 2 4 6 3 5 8 7 6 5 4 3 2 1"
 INFINITY_HALF_TEXT = "B9 1 4 5 4 8 -2 3 6 2 4 5 4 7 3 6 1 4 5 4 8 3 6 2 4 5 4 7 3 6"
@@ -22,10 +22,6 @@ class ReferenceBraids(Record):
     curve with the line at infinity, and their all-positive variants."""
 
     __slots__ = ("axis", "infinity", "axis_all_positive", "infinity_all_positive")
-
-
-def _double(half: BraidWord) -> BraidWord:
-    return concat(half, tau(half))
 
 
 def _all_positive(word: BraidWord) -> BraidWord:
@@ -41,8 +37,8 @@ def infinity_half_braid() -> BraidWord:
 
 
 def reference_braids() -> ReferenceBraids:
-    axis = _double(axis_half_braid())
-    infinity = _double(infinity_half_braid())
+    axis = full_turn(axis_half_braid())
+    infinity = full_turn(infinity_half_braid())
     return ReferenceBraids(
         axis=axis,
         infinity=infinity,

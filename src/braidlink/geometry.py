@@ -123,14 +123,12 @@ class ProjectedLine(Record):
     __slots__ = ("label", "base", "step")
 
 
-def reduced(*values) -> tuple[int, ...]:
+def reduced(*values: int) -> tuple[int, ...]:
     """The integers proportional to values, with gcd 1 and the last one not
     negative: (x, y, w) for the point (x/w, y/w), (p, q) for p/q.  The values
-    are ints or rationals with numerator and denominator, not all zero."""
-    den = lcm(*[v.denominator for v in values])
-    ints = [v.numerator * (den // v.denominator) for v in values]
-    g = -gcd(*ints) if ints[-1] < 0 else gcd(*ints)
-    return tuple([n // g for n in ints])
+    are ints, not all zero."""
+    g = -gcd(*values) if values[-1] < 0 else gcd(*values)
+    return tuple([v // g for v in values])
 
 
 def half_turn_order(
@@ -157,9 +155,9 @@ def half_turn_order(
     }
 
 
-def upper_half_primitive(a, b) -> Direction:
-    """Primitive integer direction of the rational (a, b) normalized modulo
-    180 degrees: second component positive, or zero with the first positive."""
+def upper_half_primitive(a: int, b: int) -> Direction:
+    """Primitive direction of (a, b) normalized modulo 180 degrees: second
+    component positive, or zero with the first positive."""
     if a == b == 0:
         raise ValueError("zero direction")
     x, y = reduced(a, b)

@@ -86,12 +86,6 @@ def _as_digits(
     return [{j: (p.terms, p.low) for j, p in row.items() if p} for row in rows]
 
 
-def _certified_width(rows: list[dict[int, LaurentPolynomial]]) -> int:
-    """The slot width in bytes that the certificate S gives (see above); 0
-    when S = 0, where a row and the determinant are zero."""
-    return _lows_and_width(_as_digits(rows))[1]
-
-
 def _lows_and_width(
     rows: list[dict[int, tuple[Sequence[int], int]]]
 ) -> tuple[dict[int, int], int]:

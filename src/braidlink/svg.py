@@ -27,7 +27,6 @@ from .geometry import (
     project_crossings,
     project_line,
     projection_named,
-    reduced,
 )
 
 VIEW = 7
@@ -56,13 +55,12 @@ def _line_segments(
 ) -> list[tuple[str, Homogeneous, Homogeneous]]:
     """(tone, start, end) pieces of the clipped image of the line, split
     where its axis coordinate changes sign."""
-    # the image's base and step and the axis coordinate's, times q > 0
+    (bx, by), (ux, uy) = image.base, image.step
     c, dc = getattr(line.base, axis), getattr(line.direction, axis)
-    bx, by, ux, uy, c, dc, q = reduced(*image.base, *image.step, c, dc, 1)
     # a parameter T stands for t = T / den, so the bounds and the cut are integers
     den = lcm(ux or 1, uy or 1, dc or 1)
     bounds = [
-        sorted([(-VIEW * q - b) * den // u, (VIEW * q - b) * den // u])
+        sorted([(-VIEW - b) * den // u, (VIEW - b) * den // u])
         for b, u in ((bx, ux), (by, uy)) if u
     ]
     lo, hi = max(lower for lower, _ in bounds), min(upper for _, upper in bounds)
@@ -71,7 +69,7 @@ def _line_segments(
     cuts = [lo, hi]
     if dc and lo < -c * den // dc < hi:
         cuts.insert(1, -c * den // dc)
-    points = [(bx * den + t * ux, by * den + t * uy, q * den) for t in cuts]
+    points = [(bx * den + t * ux, by * den + t * uy, den) for t in cuts]
     # the coordinate is linear in t, so a piece has the sign of its midpoint
     return [
         (_tone(c, dc, s + t, 2 * den), points[i], points[i + 1])

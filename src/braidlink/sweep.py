@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .braids import BraidWord, concat, tau
+from .braids import BraidWord, full_turn
 from .geometry import (
     INFINITY_LABEL,
     OXY,
@@ -136,5 +136,4 @@ def sweep_full_turn(
     start: Direction = (1, 0),
 ) -> BraidWord:
     """Whole-turn braid: half turn followed by its flipped image."""
-    half = sweep_half_turn(lines, events, start)
-    return concat(half, tau(half))
+    return full_turn(sweep_half_turn(lines, events, start))

@@ -15,6 +15,7 @@ from braidlink.braids import (
     crossing_strands,
     cycles,
     exponent_sum,
+    full_turn,
     invert,
     linking_matrix,
     parse_braid,
@@ -175,6 +176,11 @@ def test_tau_is_involution_preserving_exponent_sum(w):
     assert tau(tau(w)) == w
     assert exponent_sum(tau(w)) == exponent_sum(w)
     assert tau(w).strand_count == w.strand_count
+
+
+def test_full_turn_is_the_half_turn_then_its_flip():
+    assert full_turn(BraidWord(4, (1, -2, 3))) == BraidWord(4, (1, -2, 3, 3, -2, 1))
+    assert full_turn(BraidWord(3, ())) == BraidWord(3, ())
 
 
 def test_exponent_sum():

@@ -17,7 +17,6 @@ from braidlink.braids import (
 )
 from braidlink.burau import (
     _cut,
-    _difference_rows,
     _packed_difference,
     alexander_polynomial,
     burau_reduced,
@@ -28,14 +27,22 @@ from braidlink.laurent import ONE, ZERO, LaurentPolynomial, geometric_sum, slot_
 from braidlink.matrices import (
     EXPANSION_MAX,
     PACKED_MAX,
-    _certified_width,
     _lows_and_width,
     digits_determinant,
     laurent_determinant,
     sparse_determinant,
 )
 from strategies import braid_words, closure_words, oracle_words
-from test_matrices import dense_bareiss
+from test_matrices import certified_width, dense_bareiss
+
+
+def difference_rows(word, cut):
+    """Y - X^-1 as sparse rows of polynomials, X the first cut letters of
+    the word and Y the rest; no rows for one strand."""
+    return [
+        {j: LaurentPolynomial(low, digits) for j, (digits, low) in row.items()}
+        for row in _packed_difference(word, cut)[0]
+    ]
 
 
 def burau_multiply(a, b):
@@ -204,9 +211,9 @@ def test_split_word_is_zero_before_any_determinant(text, zero_row, monkeypatch):
     monkeypatch.setattr(matrices, "_expanded_determinant", lambda rows: pytest.fail("expanded"))
     monkeypatch.setattr(matrices, "sparse_determinant", lambda rows, one: pytest.fail("eliminated"))
     word = parse_braid(text)
-    rows = _difference_rows(word, _cut(word))
+    rows = difference_rows(word, _cut(word))
     assert _cut(word) == 2 and not any(1 in row for row in rows)
-    assert (_certified_width(rows) == 0) == zero_row
+    assert (certified_width(rows) == 0) == zero_row
     assert alexander_polynomial(word) == ZERO
 
 
@@ -292,7 +299,7 @@ def test_halves_determinant_is_the_whole_up_to_the_unit(drawn):
     n, letters = w.strand_count, w.letters
     whole = dense_bareiss(shifted_burau(w), ONE)
     for cut in range(len(letters) + 1):
-        rows = _difference_rows(w, cut)
+        rows = difference_rows(w, cut)
         unit = monomial_unit(exponent_sum(BraidWord(n, letters[:cut])))
         assert laurent_determinant(rows) * unit == whole
         if kind in ("split", "empty"):
@@ -302,7 +309,7 @@ def test_halves_determinant_is_the_whole_up_to_the_unit(drawn):
         cut = _cut(w)
         tail = dense_burau(BraidWord(n, letters[cut:]))
         inverse_head = dense_burau(invert(BraidWord(n, letters[:cut])))
-        assert dense(_difference_rows(w, cut)) == [
+        assert dense(difference_rows(w, cut)) == [
             [y - x for y, x in zip(*pair)] for pair in zip(tail, inverse_head)
         ]
 
@@ -355,7 +362,7 @@ def test_signed_quotient_at_one_and_its_centre(drawn, data):
     first one that may not vanish: both are read from q's terms."""
     w, _ = drawn
     n = w.strand_count
-    q = laurent_determinant(_difference_rows(w, 0)).exact_div(geometric_sum(n))
+    q = laurent_determinant(difference_rows(w, 0)).exact_div(geometric_sum(n))
     mu = len(linking_matrix(w))
     cofactor, _ = linking_cofactor(w, data.draw(st.integers(0, mu - 1)))
     taylor = [sum(c * comb(i, k) for i, c in enumerate(q.terms)) for k in range(mu)]
@@ -400,13 +407,13 @@ def test_alexander_on_both_sides_of_the_cutoff(repeats, whole, halves):
     # The certified widths of B - I and of the halves form the route takes.
     w = BraidWord(3, (1, -2) * repeats)
     assert _cut(w) == repeats
-    assert certificate_holds(_difference_rows(w, 0)) == whole
-    assert certificate_holds(_difference_rows(w, _cut(w))) == halves
+    assert certificate_holds(difference_rows(w, 0)) == whole
+    assert certificate_holds(difference_rows(w, _cut(w))) == halves
     assert alexander_polynomial(w) == laurent_alexander(w)
 
 
 def certificate_holds(rows):
-    width = _certified_width(rows)
+    width = certified_width(rows)
     det = dense_bareiss(dense(rows), ONE)
     assert all(abs(c) < 1 << (8 * width - 1) for c in det.terms)
     return width
@@ -416,8 +423,8 @@ def certificate_holds(rows):
 @given(braid_words(max_strands=10, max_len=80))
 def test_determinant_fits_the_certified_width(w):
     # B - I, and the matrix alexander_polynomial takes.
-    certificate_holds(_difference_rows(w, 0))
-    certificate_holds(_difference_rows(w, _cut(w)))
+    certificate_holds(difference_rows(w, 0))
+    certificate_holds(difference_rows(w, _cut(w)))
 
 
 @pytest.mark.parametrize(
@@ -427,7 +434,7 @@ def test_reference_braids_take_the_packed_route(name):
     # Order 8: the route takes B - I, the empty cut.
     w = getattr(reference_braids(), name)
     assert _cut(w) == 0
-    assert certificate_holds(_difference_rows(w, _cut(w))) <= PACKED_MAX
+    assert certificate_holds(difference_rows(w, _cut(w))) <= PACKED_MAX
 
 
 SYLVESTER_4 = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
@@ -447,7 +454,7 @@ def assert_exact_at_the_certificate_edge(sylvester, scale, width):
         {j: LaurentPolynomial(r[i] + k[j], (scale * h,)) for j, h in enumerate(signs)}
         for i, signs in enumerate(sylvester)
     ]
-    assert _certified_width(rows) == width
+    assert certified_width(rows) == width
     det = laurent_determinant(rows)
     assert det == LaurentPolynomial(sum(r) + sum(k), (m ** (m // 2) * scale**m,))
     assert det == dense_bareiss([[row[j] for j in range(m)] for row in rows], ONE)
@@ -540,9 +547,9 @@ def assert_digit_pass_matches_the_polynomials(word):
     normalised quotient is the dense oracle's."""
     cut = _cut(word)
     rows, packed, width = _packed_difference(word, cut)
-    polynomials = _difference_rows(word, cut)
+    polynomials = difference_rows(word, cut)
     certified = _lows_and_width(rows)[1]
-    assert certified == _certified_width(polynomials) == oracle_width(word, cut)
+    assert certified == certified_width(polynomials) == oracle_width(word, cut)
     digits = recorded_route(lambda: digits_determinant(rows, packed, width))
     laurent = recorded_route(lambda: laurent_determinant(polynomials))
     assert digits[:3] == laurent[:3]

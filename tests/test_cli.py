@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import braidlink
 from braidlink import cli
 from braidlink.braids import BraidParseError, BraidWord, parse_braid
-from braidlink.cli import CHUNK, MAX_CHARS, MAX_LETTERS, MAX_TOKEN, main, paper_checks
+from braidlink.cli import MAX_CHARS, MAX_LETTERS, MAX_TOKEN, main, paper_checks
 from braidlink.fixtures import reference_braids
 from braidlink.laurent import LaurentPolynomial
 
@@ -451,9 +451,10 @@ def test_letter_limit_refuses_a_long_file_unparsed(capsys, monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize("source", ["argv", "file"])
+# across-chunks: the long token spans the 65,536th character
 @pytest.mark.parametrize(
     "before, after",
-    [("", " 1 1"), ("1 ", " 1"), ("1 1 ", ""), (" " * (CHUNK - 8), " 1")],
+    [("", " 1 1"), ("1 ", " 1"), ("1 1 ", ""), (" " * 65_528, " 1")],
     ids=["first", "middle", "last", "across-chunks"],
 )
 def test_token_limit_refuses_a_long_token_anywhere(
@@ -466,6 +467,63 @@ def test_token_limit_refuses_a_long_token_anywhere(
     code, out, err = run(capsys, "invariants", text if source == "argv" else f"@{path}")
     assert (code, out) == (2, "")
     assert err == f"error: token of more than {MAX_TOKEN} characters is too long\n"
+
+
+def run_text(capsys, monkeypatch, tmp_path, source, text):
+    """run invariants on text handed over as argv, by @file or on stdin."""
+    path = tmp_path / "word.txt"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    word = {"argv": text, "file": f"@{path}", "stdin": "-"}[source]
+    return run(capsys, "invariants", word)
+
+
+@pytest.mark.parametrize("source", ["argv", "file", "stdin"])
+def test_char_limit_admits_its_bound(capsys, monkeypatch, tmp_path, source):
+    text = "B2 1 1 1".ljust(MAX_CHARS)
+    code, out, _ = run_text(capsys, monkeypatch, tmp_path, source, text)
+    assert code == 0
+    assert "determinant:  3" in out
+    code, out, err = run_text(capsys, monkeypatch, tmp_path, source, text + " ")
+    assert (code, out) == (2, "")
+    assert err == f"error: braid text has more than {MAX_CHARS} characters\n"
+
+
+@pytest.mark.parametrize("source", ["argv", "file", "stdin"])
+def test_token_limit_admits_trailing_separators(capsys, monkeypatch, tmp_path, source):
+    # MAX_LETTERS + 1 tokens, the header and MAX_LETTERS letters: the last
+    # token comes out of the split without the blanks and commas after it
+    text = "B2 " + "1 " * MAX_LETTERS + " ,, \n,"
+    assert cli._read_text(text) == ["B2"] + ["1"] * MAX_LETTERS
+    code, out, _ = run_text(capsys, monkeypatch, tmp_path, source, text)
+    assert code == 0
+    assert f"determinant:  {MAX_LETTERS}" in out
+
+
+LONG_TOKEN = "9" * (MAX_TOKEN + 1)
+MANY_TOKENS = " 1" * (MAX_LETTERS + 2)
+BLANKS = " " * MAX_CHARS
+
+
+@pytest.mark.parametrize("source", ["argv", "file", "stdin"])
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (LONG_TOKEN + MANY_TOKENS, f"braid has more than {MAX_LETTERS} letters"),
+        (MANY_TOKENS + BLANKS, f"braid has more than {MAX_LETTERS} letters"),
+        (LONG_TOKEN + BLANKS, f"token of more than {MAX_TOKEN} characters is too long"),
+        (LONG_TOKEN + MANY_TOKENS + BLANKS, f"braid has more than {MAX_LETTERS} letters"),
+    ],
+    ids=["letters-and-token", "letters-and-chars", "token-and-chars", "all-three"],
+)
+def test_text_past_two_limits_reports_the_first(
+    capsys, monkeypatch, tmp_path, source, text, error
+):
+    # the limits are checked in one order: letters, then token, then characters
+    monkeypatch.setattr("braidlink.cli.parse_braid", lambda text: pytest.fail("parsed"))
+    code, out, err = run_text(capsys, monkeypatch, tmp_path, source, text)
+    assert (code, out) == (2, "")
+    assert err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize(

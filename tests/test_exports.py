@@ -1,6 +1,7 @@
 """The library exports nothing that nothing reads: no public name at the top
-of a module, and no public method or property of a class.  README's library
-example runs as written."""
+of a module, and no public method or property of a class.  It keeps no
+private function that only tests read.  README's library example runs as
+written."""
 
 import ast
 import re
@@ -28,6 +29,16 @@ def defined_names(tree):
             for target in targets:
                 names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
     return {name for name in names if not name.startswith("_")}
+
+
+def defined_private_functions(tree):
+    """The private functions a module defines at its top level."""
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    }
 
 
 def defined_members(tree):
@@ -77,6 +88,18 @@ def test_every_public_name_has_a_reader():
         for name in defined_names(trees[path]) - read
     }
     assert {name.partition(".")[2] for name in unread} <= ALLOWED.keys(), sorted(unread)
+
+
+def test_every_private_function_has_a_reader():
+    # a helper only tests call belongs in the tests
+    library, trees = parsed_readers()
+    read = set().union(*map(read_names, trees.values()))
+    unread = {
+        f"{path.stem}.{name}"
+        for path in library
+        for name in defined_private_functions(trees[path]) - read
+    }
+    assert not unread, sorted(unread)
 
 
 def test_every_public_method_has_a_reader():

@@ -203,7 +203,7 @@ def test_upper_half_primitive():
     assert upper_half_primitive(-4, -2) == (2, 1)
     assert upper_half_primitive(3, 0) == (1, 0)
     assert upper_half_primitive(-3, 0) == (1, 0)
-    assert upper_half_primitive(Fraction(1, 2), Fraction(-1, 3)) == (-3, 2)
+    assert upper_half_primitive(3, -2) == (-3, 2)
     with pytest.raises(ValueError):
         upper_half_primitive(0, 0)
 
@@ -266,14 +266,13 @@ def test_crossings_json_round_trip():
 # -- the arrangement is exact and independent of the line parametrisation -----
 
 def reparametrised(line):
-    """The same oriented line with its base moved by a third of its
-    direction and its direction halved, so its data are Fractions."""
+    """The same oriented line with its base moved back by two directions and
+    its direction tripled."""
     b, d = line.base, line.direction
-    third, half = Fraction(1, 3), Fraction(1, 2)
     return SpaceLine(
         line.label,
-        Point3(b.x + third * d.x, b.y + third * d.y, b.z + third * d.z),
-        Point3(half * d.x, half * d.y, half * d.z),
+        Point3(b.x - 2 * d.x, b.y - 2 * d.y, b.z - 2 * d.z),
+        Point3(3 * d.x, 3 * d.y, 3 * d.z),
     )
 
 
@@ -296,11 +295,11 @@ def test_arrangement_does_not_depend_on_the_parametrisation(projection):
 
 def assert_exact(*values):
     for value in values:
-        assert type(value) in (int, Fraction), f"{value!r} is not exact"
+        assert type(value) is int, f"{value!r} is not an int"
 
 
 @pytest.mark.parametrize("projection", [OXY, OXZ], ids=["oxy", "oxz"])
-@pytest.mark.parametrize("moved", [False, True], ids=["integral", "fraction"])
+@pytest.mark.parametrize("moved", [False, True], ids=["integral", "moved"])
 def test_arrangement_values_are_exact(projection, moved):
     # Only the SVG's output formatting may turn a value into a float.
     lines = build_configuration()

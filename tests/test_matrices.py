@@ -15,7 +15,6 @@ from braidlink.matrices import (
     EXPANSION_MAX,
     PACKED_MAX,
     IntegerMatrix,
-    _certified_width,
     _expanded_determinant,
     bareiss_determinant_laurent,
     laurent_determinant,
@@ -24,6 +23,13 @@ from braidlink.matrices import (
 from braidlink.seifert import seifert_matrix, symmetrized_determinant
 from strategies import braid_words
 from test_seifert import column_major_seifert, dense_rows
+
+
+def certified_width(rows):
+    """The slot width in bytes that the Hadamard certificate gives for
+    sparse rows of polynomials; 0 when it is 0, where a row and the
+    determinant are zero."""
+    return matrices._lows_and_width(matrices._as_digits(rows))[1]
 
 
 def bareiss_determinant_int(rows):
@@ -200,7 +206,7 @@ def test_laurent_determinant_on_both_sides_of_the_cutoff(n, scale, width):
     # do not; up to it every width does.
     assert 4 <= PACKED_MAX < 8
     rows = scaled_chain(n, scale)
-    assert _certified_width([dict(enumerate(row)) for row in rows]) == width
+    assert certified_width([dict(enumerate(row)) for row in rows]) == width
     assert bareiss_determinant_laurent(rows) == dense_bareiss(rows, ONE)
 
 
@@ -209,7 +215,7 @@ def test_laurent_determinant_of_a_zero_row(n):
     # The other entries would not fit the slot a zero certificate suggests.
     rows = scaled_chain(n, 10**30)
     rows[n // 2] = [ZERO] * n
-    assert _certified_width([dict(enumerate(row)) for row in rows]) == 0
+    assert certified_width([dict(enumerate(row)) for row in rows]) == 0
     assert bareiss_determinant_laurent(rows) == ZERO
 
 
@@ -224,7 +230,7 @@ def test_laurent_determinant_of_a_zero_column(n, monkeypatch):
     for row in rows:
         row.pop(column, None)
     rows[column][column] = ZERO
-    assert _certified_width(rows) > 0
+    assert certified_width(rows) > 0
     assert laurent_determinant(rows) == ZERO
 
 
