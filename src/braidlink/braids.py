@@ -183,20 +183,6 @@ def exponent_sum(word: BraidWord) -> int:
 
 # -- closure combinatorics -------------------------------------------------
 
-def crossing_strands(word: BraidWord) -> list[tuple[int, int, int]]:
-    """Per letter: (strand at position |e|, strand at position |e|+1, sign).
-
-    Strands are named by their starting position 1..n.
-    """
-    occ = list(range(1, word.strand_count + 1))
-    out = []
-    for e in word.letters:
-        i = abs(e) - 1
-        out.append((occ[i], occ[i + 1], 1 if e > 0 else -1))
-        occ[i], occ[i + 1] = occ[i + 1], occ[i]
-    return out
-
-
 def closure_permutation(word: BraidWord) -> tuple[int, ...]:
     """Strand permutation of the closure as its images: strand s ends at
     position images[s-1].
@@ -257,21 +243,21 @@ def linking_matrix(word: BraidWord) -> tuple[tuple[int, ...], ...]:
     entries are 0 by convention.
     """
     comp = components(word)
-    component_of = {s: c for c, cycle in enumerate(comp.cycles) for s in cycle}
     k = comp.component_count
+    # occupant[p]: the component of the strand at position p + 1
+    occupant = [0] * word.strand_count
+    for c, cycle in enumerate(comp.cycles):
+        for s in cycle:
+            occupant[s - 1] = c
     twice = [[0] * k for _ in range(k)]
-    for s1, s2, sign in crossing_strands(word):
-        c1 = component_of[s1]
-        c2 = component_of[s2]
+    for e in word.letters:
+        i = abs(e) - 1
+        c1, c2 = occupant[i], occupant[i + 1]
         if c1 != c2:
+            sign = 1 if e > 0 else -1
             twice[c1][c2] += sign
             twice[c2][c1] += sign
-    out = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            if twice[i][j] % 2 != 0:
-                raise RuntimeError("odd inter-component crossing count")
-            row.append(twice[i][j] // 2)
-        out.append(tuple(row))
-    return tuple(out)
+        occupant[i], occupant[i + 1] = c2, c1
+    if any(value % 2 for row in twice for value in row):
+        raise RuntimeError("odd inter-component crossing count")
+    return tuple(tuple(value // 2 for value in row) for row in twice)

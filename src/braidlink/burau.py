@@ -27,8 +27,8 @@ A new entry is +-left +- mid +- right, so, from bound 1 on every column
 (the identity) and 0 on the two empty border columns, a letter adds to the
 bound of the column it rewrites those of its two neighbours; the bounds
 grow only in the columns the word touches.  w is 8 * slot_width of the
-largest bound, or, for Y - X^-1, of the largest sum of the two products'
-bounds on one column, so every coefficient reads back exactly.
+largest sum of the two products' bounds on one column of Y - X^-1, so
+every coefficient reads back exactly.
 Column c stores t**s_c times its entries, so every stored value is an
 ordinary polynomial: a letter sets s_c of the column it rewrites to the
 least value that leaves each of the three terms a non-negative shift,
@@ -44,8 +44,9 @@ handed with the packed value to matrices.digits_determinant, which takes
 the certificate and each column's least exponent from the digits and
 reuses the packed values where the certificate gives their slot width.
 No entry becomes a Laurent polynomial unless the determinant is taken by
-the Laurent elimination.  burau_reduced is the polynomial view of the same
-product, read by the tests and the benchmark's stage replay.
+the Laurent elimination.  burau_reduced builds nothing of its own: it is I
+plus the polynomial view of B - I, the same difference at the empty cut,
+read by the tests and the benchmark's stage replay.
 """
 
 from __future__ import annotations
@@ -54,13 +55,7 @@ from operator import add
 from typing import Sequence
 
 from .braids import BraidWord
-from .laurent import (
-    LaurentPolynomial,
-    geometric_sum,
-    kronecker_digits,
-    kronecker_unpack,
-    slot_width,
-)
+from .laurent import ONE, ZERO, LaurentPolynomial, geometric_sum, kronecker_digits, slot_width
 from .matrices import EXPANSION_MAX, digits_determinant
 
 
@@ -151,23 +146,23 @@ def _cut(word: BraidWord) -> int:
 
 
 def burau_reduced(word: BraidWord) -> tuple[tuple[LaurentPolynomial, ...], ...]:
-    """Dense product of the reduced Burau generator matrices over the letters.
+    """Dense product of the reduced Burau generator matrices over the letters:
+    I plus the polynomial view of B - I, the difference at the empty cut.
 
     Respects concatenation: burau(ab) = burau(a) * burau(b).  Requires at
     least two strands.
     """
-    n, letters = word.strand_count, word.letters
-    if n < 2:
+    if word.strand_count < 2:
         raise ValueError("reduced Burau needs n >= 2")
-    width = slot_width(max(_column_bounds(n, letters)))
-    steps, shift = _letter_steps(n, letters, 8 * width)
-    return tuple(
-        tuple(
-            kronecker_unpack(v, width, -s)
-            for v, s in zip(_product_row(i, n, steps)[1:n], shift[1:n])
-        )
-        for i in range(n - 1)
-    )
+    rows = _packed_difference(word, 0)[0]
+    product = []
+    for i, row in enumerate(rows):
+        entries = [ONE if j == i else ZERO for j in range(len(rows))]
+        for j, (digits, low) in row.items():
+            p = LaurentPolynomial(low, digits)
+            entries[j] = ONE + p if j == i else p
+        product.append(tuple(entries))
+    return tuple(product)
 
 
 def alexander_polynomial(word: BraidWord) -> LaurentPolynomial:

@@ -77,22 +77,27 @@ class Projection(Record):
 
     plane_axes name the two coordinates drawn.  They and the direction
     towards the viewer, in that order, form a right-handed frame: the
-    crossing signs rely on it.  tone_axis is the coordinate whose sign the
-    SVG draws in two tones.  infinity_is_strand is True when the line at
-    infinity L' is a strand of the picture, so that projected-parallel
-    pairs meet it in triple crossings.
+    crossing signs rely on it.  tone_axis is the coordinate along that
+    direction, whose sign the SVG draws in two tones.
     """
 
-    __slots__ = ("name", "plane_axes", "tone_axis", "infinity_is_strand")
+    __slots__ = ("name", "plane_axes", "tone_axis")
 
     def plane(self, p: Point3) -> Vector2:
         return (getattr(p, self.plane_axes[0]), getattr(p, self.plane_axes[1]))
 
+    @property
+    def infinity_is_strand(self) -> bool:
+        """True in a view along z: there L', the common line at infinity of
+        the planes z = const, is a strand of the picture, and
+        projected-parallel pairs meet it in triple crossings."""
+        return self.tone_axis == "z"
+
 
 # Oxy is viewed from z = +infinity.  The Oxz picture arises from it by
 # rotating space around the x-axis, so it is viewed from y = -infinity.
-OXY = Projection("oxy", ("x", "y"), "z", infinity_is_strand=True)
-OXZ = Projection("oxz", ("x", "z"), "y", infinity_is_strand=False)
+OXY = Projection("oxy", ("x", "y"), "z")
+OXZ = Projection("oxz", ("x", "z"), "y")
 
 
 def projection_named(projection: Projection | str) -> Projection:
@@ -189,16 +194,22 @@ def _handedness(a: SpaceLine, b: SpaceLine) -> int:
 class CrossingEvent(Record):
     """One event of a planar projection.
 
-    kind "finite": a transversal crossing (position, two labels, sign and
-    positive_over set) or a flagged double point of the space curve (sign
-    unset, double_point carrying its name).  kind "at_infinity": two lines
-    parallel in the projection meeting at infinity, a triple with the
-    infinity line where that line is a strand of the picture.  angle is the
-    scan direction, None for a crossing at the origin; positive_over is the
-    label that is over if the crossing is resolved positively.
+    With a position, a finite event: a transversal crossing (two labels,
+    sign and positive_over set) or a flagged double point of the space
+    curve (sign unset, double_point carrying its name).  Without one, an
+    event at infinity: two lines parallel in the projection, a triple with
+    the infinity line where that line is a strand of the picture, and every
+    other field unset.  angle is the scan direction, None for a crossing at
+    the origin; positive_over is the label that is over if the crossing is
+    resolved positively.
     """
 
-    __slots__ = ("kind", "labels", "angle", "position", "sign", "double_point", "positive_over")
+    __slots__ = ("labels", "angle", "position", "sign", "double_point", "positive_over")
+
+    @property
+    def kind(self) -> str:
+        """"finite" for an event with a position, else "at_infinity"."""
+        return "at_infinity" if self.position is None else "finite"
 
     @property
     def over(self) -> str | None:
@@ -236,7 +247,7 @@ def project_crossings(
                 if projection.infinity_is_strand:
                     labels += (INFINITY_LABEL,)
                 angle = upper_half_primitive(*pa.step)
-                events.append(CrossingEvent("at_infinity", labels, angle, None, None, None, None))
+                events.append(CrossingEvent(labels, angle, None, None, None, None))
                 continue
             # the crossing is pa's point at parameter n / det
             gap = (pb.base[0] - pa.base[0], pb.base[1] - pa.base[1])
@@ -257,7 +268,7 @@ def project_crossings(
             else:
                 sign = 1 if handedness < 0 else -1
             events.append(
-                CrossingEvent("finite", labels, angle, position, sign, name, positive_over)
+                CrossingEvent(labels, angle, position, sign, name, positive_over)
             )
     # the origin first, then by angle from (1, 0), kind, position and labels
     slopes = half_turn_order({e.angle for e in events if e.angle}, (1, 0))
@@ -273,8 +284,8 @@ def project_crossings(
 
 # -- smoothing ----------------------------------------------------------------
 
-CROSSING_NEGATIVE = -1
-CROSSING_POSITIVE = 1
+# The named smoothings, each by the sign of the crossing it keeps at q0.
+SMOOTHINGS = {"paper": -1, "all-positive": 1}
 SMOOTHED = 0
 
 
@@ -298,24 +309,17 @@ class SmoothingChoice(Record):
     def paper() -> "SmoothingChoice":
         """The bundled configuration's choice: a negative crossing at q0,
         coherent smoothing everywhere else."""
-        res = {name: SMOOTHED for name in DOUBLE_POINT_LABELS}
-        res["q0"] = CROSSING_NEGATIVE
-        return SmoothingChoice(res)
-
-    @staticmethod
-    def all_positive() -> "SmoothingChoice":
-        """The variant: the q0 crossing made positive instead."""
-        res = {name: SMOOTHED for name in DOUBLE_POINT_LABELS}
-        res["q0"] = CROSSING_POSITIVE
-        return SmoothingChoice(res)
+        return smoothing_named("paper")
 
 
 def smoothing_named(name: str) -> SmoothingChoice:
-    if name == "paper":
-        return SmoothingChoice.paper()
-    if name == "all-positive":
-        return SmoothingChoice.all_positive()
-    raise ValueError(f"unknown smoothing {name!r}")
+    """The named smoothing: a crossing of SMOOTHINGS[name]'s sign at q0,
+    coherent smoothing everywhere else."""
+    if name not in SMOOTHINGS:
+        raise ValueError(f"unknown smoothing {name!r}")
+    return SmoothingChoice(
+        {label: SMOOTHINGS[name] if label == "q0" else SMOOTHED for label in DOUBLE_POINT_LABELS}
+    )
 
 
 def apply_smoothing(

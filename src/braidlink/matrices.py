@@ -32,7 +32,8 @@ Z[t, 1/t] instead, the only route on which an entry becomes a
 LaurentPolynomial.  A zero row makes S = 0 and the determinant 0 at once:
 the other entries need not fit a one-byte slot, so nothing is packed.  A
 zero column, a column with no nonzero entry, gives 0 at once too.
-laurent_determinant hands rows of LaurentPolynomial entries to it.
+laurent_determinant is the one adapter into it: it hands each nonzero
+LaurentPolynomial entry over as its terms and least exponent.
 
 Up to order EXPANSION_MAX the packed point is taken at any certified width,
 by an expansion over Z memoised on column subsets: m 2**(m-1) products for
@@ -73,17 +74,10 @@ def bareiss_determinant_laurent(rows: Sequence[Sequence[LaurentPolynomial]]) -> 
 
 def laurent_determinant(rows: list[dict[int, LaurentPolynomial]]) -> LaurentPolynomial:
     """Determinant of the n x n matrix over Z[t, 1/t] whose row i has the
-    entries rows[i] ({column: value}, absent columns zero)."""
-    return digits_determinant(_as_digits(rows))
-
-
-def _as_digits(
-    rows: list[dict[int, LaurentPolynomial]]
-) -> list[dict[int, tuple[Sequence[int], int]]]:
-    """The rows as digits_determinant reads them.  A stored zero is no
-    entry: dense rows, such as bareiss_determinant_laurent's, store every
-    zero."""
-    return [{j: (p.terms, p.low) for j, p in row.items() if p} for row in rows]
+    entries rows[i] ({column: value}, absent columns zero).  A stored zero
+    is no entry: dense rows, such as bareiss_determinant_laurent's, store
+    every zero."""
+    return digits_determinant([{j: (p.terms, p.low) for j, p in row.items() if p} for row in rows])
 
 
 def _lows_and_width(

@@ -30,6 +30,7 @@ from braidlink.geometry import (
     project_crossings,
     project_line,
     projection_named,
+    smoothing_named,
 )
 from braidlink.svg import emit_projection_svg
 from braidlink.sweep import sweep_full_turn
@@ -232,7 +233,7 @@ CHARTS = {"bundled": geometry.base_points, "swapped": lambda: SWAPPED_POINTS}
 SMOOTHINGS = {
     "none": None,
     "paper": SmoothingChoice.paper(),
-    "all-positive": SmoothingChoice.all_positive(),
+    "all-positive": smoothing_named("all-positive"),
 }
 
 

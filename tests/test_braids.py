@@ -12,7 +12,6 @@ from braidlink.braids import (
     components_of_antipodal_closure,
     concat,
     conjugate,
-    crossing_strands,
     cycles,
     exponent_sum,
     full_turn,
@@ -274,10 +273,46 @@ def test_component_count_preserved_by_stabilization(w):
     assert components(stabilize(w, -1)).component_count == base
 
 
-def test_crossing_strands_traces_positions():
-    # strand names are starting positions; each letter swaps two of them
-    trace = crossing_strands(BraidWord(3, (1, 2, 1)))
-    assert trace == [(1, 2, 1), (1, 3, 1), (2, 3, 1)]
+def crossing_strands(word):
+    """Per letter: (strand at position |e|, strand at position |e|+1, sign),
+    strands named by their starting position 1..n."""
+    occ = list(range(1, word.strand_count + 1))
+    out = []
+    for e in word.letters:
+        i = abs(e) - 1
+        out.append((occ[i], occ[i + 1], 1 if e > 0 else -1))
+        occ[i], occ[i + 1] = occ[i + 1], occ[i]
+    return out
+
+
+def strand_linking_matrix(word):
+    """The linking matrix by strand names, in two walks: each crossing's
+    two strands, then the component of each: the oracle for the one walk
+    that carries component ids."""
+    comp = components(word)
+    component_of = {s: c for c, cycle in enumerate(comp.cycles) for s in cycle}
+    k = comp.component_count
+    twice = [[0] * k for _ in range(k)]
+    for s1, s2, sign in crossing_strands(word):
+        c1, c2 = component_of[s1], component_of[s2]
+        if c1 != c2:
+            twice[c1][c2] += sign
+            twice[c2][c1] += sign
+    assert all(value % 2 == 0 for row in twice for value in row)
+    return tuple(tuple(value // 2 for value in row) for row in twice)
+
+
+def test_linking_matrix_half_twist():
+    # B3 1 2 1 swaps strands 1 and 3 and fixes 2: components {1, 3} and {2}.
+    # Its crossings are (1, 2), (1, 3) and (2, 3), all positive; two are
+    # between the components.
+    assert crossing_strands(BraidWord(3, (1, 2, 1))) == [(1, 2, 1), (1, 3, 1), (2, 3, 1)]
+    assert linking_matrix(BraidWord(3, (1, 2, 1))) == ((0, 1), (1, 0))
+
+
+@given(braid_words())
+def test_linking_matrix_matches_the_strand_oracle(w):
+    assert linking_matrix(w) == strand_linking_matrix(w)
 
 
 def test_linking_matrix_hopf():

@@ -17,6 +17,7 @@ from braidlink import cli
 from braidlink.braids import BraidParseError, BraidWord, parse_braid
 from braidlink.cli import MAX_CHARS, MAX_LETTERS, MAX_TOKEN, main, paper_checks
 from braidlink.fixtures import reference_braids
+from braidlink.geometry import SMOOTHINGS, smoothing_named
 from braidlink.laurent import LaurentPolynomial
 
 
@@ -289,6 +290,15 @@ def test_construct_braid_rejects_oxz(capsys):
     code, _, err = run(capsys, "construct", "--emit", "braid", "--projection", "oxz")
     assert code == 2
     assert "oxy" in err
+
+
+def test_smoothing_choices_are_the_named_smoothings():
+    # cli.py names the choices itself, so that parsing loads no geometry
+    (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    (option,) = [a for a in commands.choices["construct"]._actions if a.dest == "smoothing"]
+    assert option.choices == list(SMOOTHINGS)
+    with pytest.raises(ValueError, match="^unknown smoothing 'nope'$"):
+        smoothing_named("nope")
 
 
 def test_construct_crossings_contains_annotated_position(capsys):

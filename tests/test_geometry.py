@@ -15,6 +15,7 @@ from braidlink.geometry import (
     project_crossings,
     project_line,
     rotate_quarter_turn,
+    smoothing_named,
     upper_half_primitive,
     OXY,
     OXZ,
@@ -153,6 +154,28 @@ def test_infinity_triples_have_direction_classes():
         assert len(e.labels) == 3
 
 
+def test_infinity_is_a_strand_only_in_a_view_along_z():
+    # L' is the common line at infinity of the planes z = const
+    assert OXY.infinity_is_strand
+    assert not OXZ.infinity_is_strand
+    assert not Projection("yz", ("y", "z"), "x").infinity_is_strand
+
+
+@pytest.mark.parametrize("smoothing", [None, "paper", "all-positive"])
+@pytest.mark.parametrize("projection", [OXY, OXZ], ids=["oxy", "oxz"])
+def test_kind_agrees_with_position(projection, smoothing):
+    # an event is at infinity exactly when its two images are parallel
+    steps = {line.label: project_line(line, projection).step for line in build_configuration()}
+    events = project_crossings(build_configuration(), projection)
+    if smoothing is not None:
+        events = apply_smoothing(events, smoothing_named(smoothing))
+    assert {e.kind for e in events} == {"finite", "at_infinity"}
+    for e in events:
+        parallel = cross(steps[e.labels[0]], steps[e.labels[1]]) == 0
+        assert e.kind == ("at_infinity" if parallel else "finite")
+        assert (e.kind == "finite") == (e.position is not None)
+
+
 def test_oxz_projection():
     events = project_crossings(build_configuration(), OXZ)
     doubles = [e for e in events if e.double_point is not None]
@@ -170,7 +193,7 @@ def test_smoothing_choices():
     paper = SmoothingChoice.paper()
     assert paper.resolution["q0"] == -1
     assert all(paper.resolution[p] == 0 for p in paper.resolution if p != "q0")
-    variant = SmoothingChoice.all_positive()
+    variant = smoothing_named("all-positive")
     assert variant.resolution["q0"] == 1
     with pytest.raises(ValueError):
         SmoothingChoice({"q0": -1})
@@ -193,7 +216,7 @@ def test_apply_smoothing_paper_choice():
 
 def test_apply_smoothing_variant_choice():
     events = project_crossings(build_configuration(), OXY)
-    smoothed = apply_smoothing(events, SmoothingChoice.all_positive())
+    smoothed = apply_smoothing(events, smoothing_named("all-positive"))
     signs = {e.sign for e in smoothed if e.kind == "finite"}
     assert signs == {1}
 
@@ -232,7 +255,7 @@ def crossings_payload(events, projection):
 
 
 @pytest.mark.parametrize(
-    "smoothing", [None, SmoothingChoice.paper(), SmoothingChoice.all_positive()]
+    "smoothing", [None, SmoothingChoice.paper(), smoothing_named("all-positive")]
 )
 @pytest.mark.parametrize("projection", [OXY, OXZ], ids=["oxy", "oxz"])
 def test_crossings_json_is_the_indented_json_of_the_events(projection, smoothing):
@@ -276,7 +299,7 @@ def reparametrised(line):
     )
 
 
-SMOOTHINGS = (None, SmoothingChoice.paper(), SmoothingChoice.all_positive())
+SMOOTHINGS = (None, SmoothingChoice.paper(), smoothing_named("all-positive"))
 
 
 @pytest.mark.parametrize("projection", ["oxy", "oxz"])
@@ -326,7 +349,7 @@ def test_arrangement_values_are_exact(projection, moved):
 DEPTH_VIEWS = {
     "oxy": (OXY, "z", 1),
     "oxz": (OXZ, "y", -1),
-    "yz": (Projection("yz", ("y", "z"), "x", infinity_is_strand=False), "x", 1),
+    "yz": (Projection("yz", ("y", "z"), "x"), "x", 1),
 }
 
 

@@ -29,7 +29,8 @@ def certified_width(rows):
     """The slot width in bytes that the Hadamard certificate gives for
     sparse rows of polynomials; 0 when it is 0, where a row and the
     determinant are zero."""
-    return matrices._lows_and_width(matrices._as_digits(rows))[1]
+    digits = [{j: (p.terms, p.low) for j, p in row.items() if p} for row in rows]
+    return matrices._lows_and_width(digits)[1]
 
 
 def bareiss_determinant_int(rows):

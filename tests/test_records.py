@@ -37,11 +37,9 @@ BUILDERS = {
     "SeifertData": lambda: SeifertData(2, ((0, 0, -1), (0, 1, 1)), False),
     "Point3": lambda: Point3(3, -1, -1),
     "SpaceLine": lambda: SpaceLine("l0", Point3(3, -1, -1), Point3(-3, 1, 3)),
-    "Projection": lambda: Projection("oxy", ("x", "y"), "z", True),
+    "Projection": lambda: Projection("oxy", ("x", "y"), "z"),
     "ProjectedLine": lambda: ProjectedLine("l0", (3, -1), (-3, 1)),
-    "CrossingEvent": lambda: CrossingEvent(
-        "finite", ("l0", "l1"), (1, 0), (2, 0, 1), -1, None, "l0"
-    ),
+    "CrossingEvent": lambda: CrossingEvent(("l0", "l1"), (1, 0), (2, 0, 1), -1, None, "l0"),
     "SmoothingChoice": SmoothingChoice.paper,
     "ReferenceBraids": reference_braids,
 }
@@ -103,13 +101,14 @@ def test_field_updates_and_defaults():
     event = BUILDERS["CrossingEvent"]()
     flipped = event.replace(sign=1)
     assert (flipped.sign, flipped.over, event.over) == (1, "l0", "l1")
-    assert fields(flipped)[:4] == fields(event)[:4]
+    assert fields(flipped)[:3] == fields(event)[:3]
     # no field has a default: an at-infinity event names its unset fields
     with pytest.raises(TypeError, match="missing field position, sign, double_point"):
-        CrossingEvent("at_infinity", ("l0", "l2", "L'"), (0, 1))
-    at_infinity = CrossingEvent("at_infinity", ("l0", "l2", "L'"), (0, 1), None, None, None, None)
+        CrossingEvent(("l0", "l2", "L'"), (0, 1))
+    at_infinity = CrossingEvent(("l0", "l2", "L'"), (0, 1), None, None, None, None)
     assert at_infinity.over is None
-    assert Projection("oxz", ("x", "z"), "y", False).plane(Point3(1, 2, 3)) == (1, 3)
+    assert (at_infinity.kind, event.kind) == ("at_infinity", "finite")
+    assert Projection("oxz", ("x", "z"), "y").plane(Point3(1, 2, 3)) == (1, 3)
     assert repr(Point3(3, -1, -1)) == "Point3(x=3, y=-1, z=-1)"
 
 
@@ -137,7 +136,7 @@ def test_constructor_binds_values_then_names():
     assert fields(Point3(3, -1, 2)) == (3, -1, 2)
     assert Point3(z=2, x=3, y=-1) == Point3(3, -1, 2)
     assert Point3(3, z=2, y=-1) == Point3(3, -1, 2)
-    assert fields(Projection("oxz", ("x", "z"), "y", infinity_is_strand=False))[3] is False
+    assert fields(Projection("oxz", ("x", "z"), tone_axis="y"))[2] == "y"
 
 
 @pytest.mark.parametrize("build, problem", [

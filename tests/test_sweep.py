@@ -20,6 +20,7 @@ from braidlink.geometry import (
     half_turn_order,
     project_crossings,
     project_line,
+    smoothing_named,
     OXY,
 )
 from braidlink.invariants import full_report
@@ -51,7 +52,7 @@ def test_full_turn_equals_reference_braid(lines, oxy_events):
 
 
 def test_variant_sweep_is_all_positive(lines, oxy_events):
-    smoothed = apply_smoothing(oxy_events, SmoothingChoice.all_positive())
+    smoothed = apply_smoothing(oxy_events, smoothing_named("all-positive"))
     word = sweep_full_turn(lines, smoothed)
     assert all(e > 0 for e in word.letters)
     assert word == reference_braids().infinity_all_positive
@@ -60,7 +61,7 @@ def test_variant_sweep_is_all_positive(lines, oxy_events):
 def test_q0_choice_toggles_exponent_sum_by_two_per_half_turn(lines, oxy_events):
     paper = sweep_half_turn(lines, apply_smoothing(oxy_events, SmoothingChoice.paper()))
     variant = sweep_half_turn(
-        lines, apply_smoothing(oxy_events, SmoothingChoice.all_positive())
+        lines, apply_smoothing(oxy_events, smoothing_named("all-positive"))
     )
     assert exponent_sum(variant) - exponent_sum(paper) == 2
 
@@ -237,7 +238,7 @@ def swap_axis_and_infinity(p):
 
 @pytest.mark.parametrize(
     "smoothing, name",
-    [(SmoothingChoice.paper(), "axis"), (SmoothingChoice.all_positive(), "axis_all_positive")],
+    [(SmoothingChoice.paper(), "axis"), (smoothing_named("all-positive"), "axis_all_positive")],
     ids=["paper", "all-positive"],
 )
 def test_axis_braid_from_the_swapped_chart(monkeypatch, smoothing, name):
